@@ -17,12 +17,12 @@
 //! speedup isolates exactly the update path the tentpole optimizes.
 //!
 //! The metered phase runs the same loop through `DpService`
-//! (`stream_open` → `ingest`* → keyed `release_current`), then re-drives
+//! (`stream_open` → `ingest`* → keyed `release`), then re-drives
 //! every request id and asserts the accountant charged exactly once per
 //! id — replays return journaled bytes, not fresh debits.
 
 use dp_core::prelude::*;
-use dp_service::{Accountant, DpService};
+use dp_service::{Accountant, DpService, Target};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -227,6 +227,7 @@ fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
     let stream = service
         .stream_open("publisher", &plan_id, None)
         .expect("stream_open");
+    let target = Target::Stream(stream.clone());
 
     let mut next = cell_stream(1 << schema.domain_bits(), 11);
     let start = Instant::now();
@@ -239,7 +240,7 @@ fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
         let rid = format!("epoch-{epoch}");
         std::hint::black_box(
             service
-                .release_current("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
+                .release("publisher", &target, &[epoch as u64], Some(rid.as_str()))
                 .expect("keyed release"),
         );
     }
@@ -252,7 +253,7 @@ fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
     for epoch in 0..epochs {
         let rid = format!("epoch-{epoch}");
         service
-            .release_current("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
+            .release("publisher", &target, &[epoch as u64], Some(rid.as_str()))
             .expect("replayed release");
     }
     let replayed = service.budget_status("publisher").expect("status").charges;

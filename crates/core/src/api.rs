@@ -15,10 +15,8 @@
 //!    a histogram), computing the exact observations `z = S·x` once, and
 //!    serves releases: [`Session::release`] for one, or
 //!    [`Session::release_batch`] to fan a whole batch of seeds out with
-//!    rayon. Every release is deterministic in its seed — and byte-identical
-//!    to the legacy single-shot paths (`ReleasePlanner`,
-//!    `plan_range_release`), which are now thin wrappers over the same
-//!    machinery.
+//!    rayon. Every release is deterministic in its seed, regardless of
+//!    batch size or thread count.
 //! 3. [`PlanCache`] memoizes compiled plans keyed by (schema fingerprint,
 //!    workload, strategy, budgeting, privacy, neighbouring), so a service
 //!    handling repeated requests performs the budget solve (and the cluster
@@ -599,7 +597,7 @@ impl Plan {
 
     /// The solved per-group budgets `η_r` as produced by the Step-2
     /// optimizer, *before* the neighbouring sensitivity factor (releases
-    /// divide by it, exactly as the legacy paths did).
+    /// divide by it).
     pub fn solution(&self) -> &BudgetSolution {
         &self.solution
     }

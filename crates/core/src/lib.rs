@@ -81,8 +81,6 @@ pub mod prelude {
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
     pub use crate::range::{RangeStrategy, RangeWorkload};
-    #[allow(deprecated)] // kept so legacy callers migrate on their own schedule
-    pub use crate::release::ReleasePlanner;
     pub use crate::release::{Budgeting, Release, StrategyKind};
     pub use crate::schema::{Attribute, Schema};
     pub use crate::strategy::{
@@ -99,8 +97,6 @@ pub use crate::api::{
 };
 pub use crate::cluster::{CentroidSearch, ClusterConfig};
 pub use crate::mask::AttrMask;
-#[allow(deprecated)] // kept so legacy callers migrate on their own schedule
-pub use crate::release::ReleasePlanner;
 pub use crate::release::{Budgeting, Release, StrategyKind};
 pub use crate::schema::Schema;
 pub use crate::table::ContingencyTable;

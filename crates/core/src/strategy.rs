@@ -192,30 +192,17 @@ impl<S: StrategyOperator + Sync> ReleaseEngine<S> {
         }
     }
 
-    /// Runs Steps 2–3 for one release: optimal/uniform budgets, calibrated
-    /// per-row noise on `observations` (the exact strategy answers
-    /// `z = S x`), and the strategy's GLS recovery.
+    /// Runs Step 3 for one release at an already solved budget allocation
+    /// (see [`ReleaseEngine::solve_budgets`]; a plan solves once at compile
+    /// time): calibrated per-row noise on `observations` (the exact strategy
+    /// answers `z = S x`), then the strategy's GLS recovery. Repeated
+    /// releases from one plan therefore draw noise at exactly the budgets
+    /// the plan published.
     ///
     /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
     /// [`StdRng`] substream seeded sequentially from `rng` — so the output
     /// is deterministic in `rng`'s seed regardless of how many threads the
     /// chunks land on.
-    pub fn release_with<R: Rng + ?Sized>(
-        &self,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-        neighboring: Neighboring,
-        rng: &mut R,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        let solution = self.solve_budgets(privacy, budgeting)?;
-        self.release_with_solution(observations, privacy, &solution, neighboring, rng)
-    }
-
-    /// [`ReleaseEngine::release_with`] for a budget solution that was
-    /// already computed (e.g. at plan time) — repeated releases from one
-    /// plan skip the Step-2 solve and are guaranteed to draw noise at the
-    /// exact budgets the plan published.
     ///
     /// Scratch buffers come from a process-wide pool, so K releases (e.g.
     /// a `release_batch` fan-out) allocate O(workers) buffers rather than
@@ -617,22 +604,35 @@ mod tests {
         }
     }
 
+    /// Solves the budgets, then draws one release from `seed`.
+    fn release(
+        engine: &ReleaseEngine<Echo>,
+        obs: &[f64],
+        privacy: PrivacyLevel,
+        budgeting: Budgeting,
+        neighboring: Neighboring,
+        seed: u64,
+    ) -> Result<EngineRelease<Vec<f64>>, CoreError> {
+        let solution = engine.solve_budgets(privacy, budgeting)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        engine.release_with_solution(obs, privacy, &solution, neighboring, &mut rng)
+    }
+
     #[test]
     fn engine_releases_are_deterministic_per_seed() {
         let engine = ReleaseEngine::new(echo()).unwrap();
         let obs = vec![10.0, 20.0, 30.0, 40.0];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
         let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            engine
-                .release_with(
-                    &obs,
-                    p,
-                    Budgeting::Optimal,
-                    Neighboring::AddRemove,
-                    &mut rng,
-                )
-                .unwrap()
+            release(
+                &engine,
+                &obs,
+                p,
+                Budgeting::Optimal,
+                Neighboring::AddRemove,
+                seed,
+            )
+            .unwrap()
         };
         let a = run(9);
         let b = run(9);
@@ -645,17 +645,15 @@ mod tests {
     #[test]
     fn achieved_epsilon_is_tight_and_validated() {
         let engine = ReleaseEngine::new(echo()).unwrap();
-        let obs = vec![0.0; 4];
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = engine
-            .release_with(
-                &obs,
-                PrivacyLevel::Pure { epsilon: 0.7 },
-                Budgeting::Optimal,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
+        let r = release(
+            &engine,
+            &[0.0; 4],
+            PrivacyLevel::Pure { epsilon: 0.7 },
+            Budgeting::Optimal,
+            Neighboring::AddRemove,
+            1,
+        )
+        .unwrap();
         assert!((r.achieved_epsilon - 0.7).abs() < 1e-9);
         assert!(r.predicted_variance > 0.0);
     }
@@ -663,14 +661,14 @@ mod tests {
     #[test]
     fn shape_mismatches_are_rejected() {
         let engine = ReleaseEngine::new(echo()).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
         assert!(matches!(
-            engine.release_with(
+            release(
+                &engine,
                 &[1.0; 3],
                 PrivacyLevel::Pure { epsilon: 1.0 },
                 Budgeting::Uniform,
                 Neighboring::AddRemove,
-                &mut rng,
+                2,
             ),
             Err(CoreError::Shape { .. })
         ));
@@ -688,17 +686,15 @@ mod tests {
             rows: vec![0, 0, 1, 1],
         })
         .unwrap();
-        let obs = vec![5.0, 6.0, 7.0, 8.0];
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = engine
-            .release_with(
-                &obs,
-                PrivacyLevel::Pure { epsilon: 1.0 },
-                Budgeting::Optimal,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
+        let r = release(
+            &engine,
+            &[5.0, 6.0, 7.0, 8.0],
+            PrivacyLevel::Pure { epsilon: 1.0 },
+            Budgeting::Optimal,
+            Neighboring::AddRemove,
+            3,
+        )
+        .unwrap();
         // Group 1 has zero recovery weight → budget 0 → its rows are
         // zeroed by the engine, so even this weights-unaware echo recovery
         // cannot leak the exact values 7.0/8.0.
@@ -801,21 +797,11 @@ mod tests {
     #[test]
     fn replace_neighboring_halves_budgets() {
         let engine = ReleaseEngine::new(echo()).unwrap();
-        let obs = vec![0.0; 4];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
-        let mut rng = StdRng::seed_from_u64(4);
-        let add = engine
-            .release_with(
-                &obs,
-                p,
-                Budgeting::Uniform,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
-        let rep = engine
-            .release_with(&obs, p, Budgeting::Uniform, Neighboring::Replace, &mut rng)
-            .unwrap();
+        let run =
+            |n: Neighboring| release(&engine, &[0.0; 4], p, Budgeting::Uniform, n, 4).unwrap();
+        let add = run(Neighboring::AddRemove);
+        let rep = run(Neighboring::Replace);
         for (a, b) in add.group_budgets.iter().zip(&rep.group_budgets) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }

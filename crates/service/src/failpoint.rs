@@ -188,8 +188,16 @@ pub fn check(site: &str) -> Result<(), ServiceError> {
 mod tests {
     use super::*;
 
+    /// The registry is process-global and every test starts with
+    /// `clear_all()`, so the tests must not interleave.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn window_schedules_fire_deterministically() {
+        let _serial = serial();
         clear_all();
         configure(
             "t.window",
@@ -205,6 +213,7 @@ mod tests {
 
     #[test]
     fn seeded_schedules_are_reproducible_and_seed_sensitive() {
+        let _serial = serial();
         clear_all();
         let pattern = |seed: u64| -> Vec<bool> {
             configure(
@@ -229,6 +238,7 @@ mod tests {
 
     #[test]
     fn delay_actions_do_not_error() {
+        let _serial = serial();
         clear_all();
         configure("t.delay", Trigger::nth(0), FailAction::DelayMs(1));
         assert!(check("t.delay").is_ok());

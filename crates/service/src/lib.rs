@@ -10,9 +10,12 @@
 //!    [`dp_core::api::PlanCache`]. Plans are interned by fingerprint, so
 //!    K tenants asking for the same workload shape cost exactly one
 //!    strategy compile and one Step-2 budget solve.
-//! 2. **Session pool** ([`pool::SessionPool`]) — a registered plan bound
-//!    to a loaded table/histogram, observations `z = S·x` computed once,
-//!    serving seed-deterministic releases.
+//! 2. **Pool** ([`pool::Pool`]) — everything a release draws from, each
+//!    entry with its owner: registered plans bound to a loaded
+//!    table/histogram (observations `z = S·x` computed once, shared
+//!    read-only by every tenant that registered the plan), and
+//!    tenant-owned streams that ingest record deltas. One release path,
+//!    [`service::DpService::release`], serves both.
 //! 3. **Budget accountant** ([`accountant::Accountant`]) — per-tenant
 //!    cumulative (ε, δ) metering via sequential composition
 //!    ([`dp_mech::compose_n`]). Charges are debited atomically **before**
@@ -32,7 +35,7 @@
 //! ```
 //! use dp_core::{PlanBuilder, Schema, StrategyKind, Workload, ContingencyTable};
 //! use dp_mech::PrivacyLevel;
-//! use dp_service::{Accountant, DpService};
+//! use dp_service::{Accountant, DpService, Target};
 //!
 //! let service = DpService::new(Accountant::in_memory());
 //! service.data().insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 7]));
@@ -47,8 +50,9 @@
 //!             .privacy(PrivacyLevel::Pure { epsilon: 0.5 }),
 //!     )
 //!     .unwrap();
-//! let session = service.bind("alice", &plan_id, "toy").unwrap();
-//! let releases = service.release("alice", &session, &[42]).unwrap();
+//! let session = Target::Session(service.bind("alice", &plan_id, "toy").unwrap());
+//! let response = service.release("alice", &session, &[42], None).unwrap();
+//! let releases = response.get_field("releases").unwrap().as_array().unwrap();
 //! assert_eq!(releases.len(), 1);
 //! assert_eq!(service.budget_status("alice").unwrap().spent_epsilon, 0.5);
 //! ```
@@ -126,7 +130,7 @@ pub use accountant::{Accountant, BudgetStatus, ReleaseAdmission, WalStats, WalSy
 pub use auth::{Auth, AuthPolicy};
 pub use client::{Client, ClientConfig, ClientStats, KeyedRelease, RemoteBudgetStatus};
 pub use error::ServiceError;
-pub use pool::{DataStore, Dataset, SessionPool, StreamPool};
+pub use pool::{DataStore, Dataset, Pool, Target};
 pub use registry::Registry;
 pub use server::{Server, ServerLimits};
 pub use service::DpService;

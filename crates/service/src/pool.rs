@@ -1,30 +1,37 @@
-//! Loaded datasets, the session pool, and the streaming-session pool.
+//! Loaded datasets, and the one pool of bound sessions and streams.
 //!
 //! A [`DataStore`] holds the named tables/histograms the operator loaded
-//! into the server; a [`SessionPool`] holds [`OwnedSession`]s — a
-//! registered plan bound to one dataset, with the observations `z = S·x`
-//! computed exactly once at bind time. Session ids are deterministic
-//! (`"<plan_id>/<table>"`), so binding is idempotent and the pool never
-//! grows with repeated binds. Sessions carry no tenant state (the
-//! observations depend only on plan and data; all per-tenant state lives
-//! in the accountant/registry), so tenants sharing a plan and table also
-//! share the bound session.
+//! into the server. The [`Pool`] holds everything a release draws from,
+//! one [`Entry`] per [`Target`], and each entry records its owner:
 //!
-//! [`StreamPool`] is the mutable counterpart: each entry is a
-//! [`StreamingSession`] a publisher pushes deltas into. Unlike pooled
-//! sessions, streams **must not** be shared across tenants (one tenant's
-//! ingests would silently change what another tenant releases), so stream
-//! ids embed the tenant (`"<tenant>/<plan_id>/<table>"`) and opening is
-//! idempotent *per tenant*: reopening returns the live stream without
-//! resetting its state, which is what lets a crashed publisher reconnect
-//! and resume.
+//! * A **binding** ([`Entry::Binding`]) is a registered plan bound to one
+//!   dataset, with the observations `z = S·x` computed exactly once at bind
+//!   time. It is read-only and carries no tenant state (the observations
+//!   depend only on plan and data; all per-tenant state lives in the
+//!   accountant/registry), so every tenant that registered the plan shares
+//!   it. Session ids are deterministic (`"<plan_id>/<table>"`), so binding
+//!   is idempotent and the pool never grows with repeated binds.
+//! * A **stream** ([`Entry::Stream`]) is a tenant's mutable
+//!   [`StreamingSession`] a publisher pushes deltas into. Streams **must
+//!   not** be shared across tenants (one tenant's ingests would silently
+//!   change what another tenant releases), so stream ids embed the tenant
+//!   (`"<tenant>/<plan_id>/<table>"`) and opening is idempotent *per
+//!   tenant*: reopening returns the live stream without resetting its
+//!   state, which is what lets a crashed publisher reconnect and resume.
+//!
+//! Entries are keyed by kind *and* id, so a session id never resolves to a
+//! stream even when the two strings coincide (a tenant named like a plan
+//! id, a table name containing `/`). [`Pool::get`] authorizes as it looks
+//! up.
 
+use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
-use dp_core::api::{OwnedSession, StreamingSession};
-use dp_core::{ContingencyTable, Plan};
+use crate::registry::Registry;
+use dp_core::api::{OwnedSession, SessionRelease, StreamingSession};
+use dp_core::{ContingencyTable, CoreError, Plan};
 
 /// One loadable dataset: a full contingency table or a raw histogram.
 pub enum Dataset {
@@ -93,26 +100,92 @@ impl Default for DataStore {
     }
 }
 
-/// Bound sessions, keyed by deterministic session id.
-pub struct SessionPool {
-    sessions: Mutex<HashMap<String, Arc<OwnedSession>>>,
+/// What a release draws from: a bound session or a stream, by id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Target {
+    /// A session id returned by `bind`.
+    Session(String),
+    /// A stream id returned by `stream_open`.
+    Stream(String),
 }
 
-/// The deterministic id of a plan bound to a named dataset.
-pub fn session_id(plan_id: &str, table: &str) -> String {
-    format!("{plan_id}/{table}")
+impl Target {
+    /// The id, without its kind.
+    pub fn id(&self) -> &str {
+        match self {
+            Target::Session(id) | Target::Stream(id) => id,
+        }
+    }
 }
 
-impl SessionPool {
-    /// An empty pool.
-    pub fn new() -> SessionPool {
-        SessionPool {
-            sessions: Mutex::new(HashMap::new()),
+/// One pool entry, recording who may use it.
+pub enum Entry {
+    /// A registered plan bound to a dataset: read-only, and shared by every
+    /// tenant that registered the plan.
+    Binding {
+        /// The bound plan's id; a tenant must have registered it.
+        plan_id: String,
+        /// The bound observations.
+        session: OwnedSession,
+    },
+    /// A tenant-owned mutable stream.
+    Stream {
+        /// The only tenant that may ingest into it or release from it.
+        tenant: String,
+        /// The stream, locked per ingest and per release.
+        session: Mutex<StreamingSession>,
+    },
+}
+
+/// An entry's session, held for one release. A stream stays locked while
+/// held, so the release sees one consistent snapshot while ingests race.
+pub enum Held<'a> {
+    /// A shared binding.
+    Binding(&'a OwnedSession),
+    /// A locked stream.
+    Stream(MutexGuard<'a, StreamingSession>),
+}
+
+impl Entry {
+    /// Holds the entry's session for one release.
+    pub fn hold(&self) -> Held<'_> {
+        match self {
+            Entry::Binding { session, .. } => Held::Binding(session),
+            Entry::Stream { session, .. } => {
+                Held::Stream(session.lock().expect("stream mutex poisoned"))
+            }
+        }
+    }
+}
+
+impl Held<'_> {
+    /// The plan the session releases.
+    pub fn plan(&self) -> &Plan {
+        match self {
+            Held::Binding(session) => session.plan(),
+            Held::Stream(session) => session.plan(),
         }
     }
 
-    /// Binds `plan` to `dataset`, returning the session id. Idempotent:
-    /// re-binding the same (plan, table) pair reuses the stored session
+    /// One release per seed (see [`OwnedSession::release_batch`]).
+    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
+        match self {
+            Held::Binding(session) => session.release_batch(seeds),
+            Held::Stream(session) => session.release_batch(seeds),
+        }
+    }
+}
+
+/// Bound sessions and streams, keyed by [`Target`] (see the module docs).
+#[derive(Default)]
+pub struct Pool {
+    entries: Mutex<HashMap<Target, Arc<Entry>>>,
+}
+
+impl Pool {
+    /// Binds `plan` to `dataset`, returning the deterministic session id
+    /// `"<plan_id>/<table>"`. Idempotent:
+    /// re-binding the same (plan, table) pair reuses the stored binding
     /// and recomputes nothing.
     pub fn bind(
         &self,
@@ -121,72 +194,27 @@ impl SessionPool {
         plan: Arc<Plan>,
         dataset: &Dataset,
     ) -> Result<String, ServiceError> {
-        let id = session_id(plan_id, table);
-        let mut sessions = self.sessions.lock().expect("session pool mutex poisoned");
-        if !sessions.contains_key(&id) {
+        let id = format!("{plan_id}/{table}");
+        self.insert_once(Target::Session(id.clone()), || {
             let session = match dataset {
                 Dataset::Table(t) => OwnedSession::bind(plan, t)?,
                 Dataset::Histogram(h) => OwnedSession::bind_histogram(plan, h)?,
             };
-            sessions.insert(id.clone(), Arc::new(session));
-        }
+            Ok(Entry::Binding {
+                plan_id: plan_id.into(),
+                session,
+            })
+        })?;
         Ok(id)
     }
 
-    /// Fetches a bound session.
-    pub fn get(&self, id: &str) -> Result<Arc<OwnedSession>, ServiceError> {
-        self.sessions
-            .lock()
-            .expect("session pool mutex poisoned")
-            .get(id)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownSession(id.into()))
-    }
-
-    /// Number of bound sessions.
-    pub fn len(&self) -> usize {
-        self.sessions
-            .lock()
-            .expect("session pool mutex poisoned")
-            .len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for SessionPool {
-    fn default() -> SessionPool {
-        SessionPool::new()
-    }
-}
-
-/// The deterministic id of a tenant's stream over a plan, optionally
-/// seeded from a named dataset (`None` → the stream starts empty).
-pub fn stream_id(tenant: &str, plan_id: &str, table: Option<&str>) -> String {
-    format!("{tenant}/{plan_id}/{}", table.unwrap_or(""))
-}
-
-/// Per-tenant mutable streaming sessions, keyed by [`stream_id`].
-pub struct StreamPool {
-    streams: Mutex<HashMap<String, Arc<Mutex<StreamingSession>>>>,
-}
-
-impl StreamPool {
-    /// An empty pool.
-    pub fn new() -> StreamPool {
-        StreamPool {
-            streams: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Opens (or re-opens) a stream, returning its id. Idempotent and
-    /// **non-destructive**: if the stream already exists, its accumulated
-    /// state is kept untouched — a reconnecting publisher resumes where it
-    /// left off. `dataset` seeds the initial counts; `None` starts empty.
-    pub fn open(
+    /// Opens (or re-opens) `tenant`'s stream, returning its deterministic
+    /// id `"<tenant>/<plan_id>/<table>"` (empty table name for `None`).
+    /// Idempotent and **non-destructive**: if the stream already exists,
+    /// its accumulated state is kept untouched — a reconnecting publisher
+    /// resumes where it left off. `dataset` seeds the initial counts;
+    /// `None` starts empty.
+    pub fn open_stream(
         &self,
         tenant: &str,
         plan_id: &str,
@@ -194,46 +222,61 @@ impl StreamPool {
         plan: Arc<Plan>,
         dataset: Option<&Dataset>,
     ) -> Result<String, ServiceError> {
-        let id = stream_id(tenant, plan_id, table);
-        let mut streams = self.streams.lock().expect("stream pool mutex poisoned");
-        if !streams.contains_key(&id) {
+        let id = format!("{tenant}/{plan_id}/{}", table.unwrap_or(""));
+        self.insert_once(Target::Stream(id.clone()), || {
             let session = match dataset {
                 None => StreamingSession::empty(plan)?,
                 Some(Dataset::Table(t)) => StreamingSession::bind(plan, t)?,
                 Some(Dataset::Histogram(h)) => StreamingSession::bind_histogram(plan, h)?,
             };
-            streams.insert(id.clone(), Arc::new(Mutex::new(session)));
-        }
+            Ok(Entry::Stream {
+                tenant: tenant.into(),
+                session: Mutex::new(session),
+            })
+        })?;
         Ok(id)
     }
 
-    /// Fetches an open stream.
-    pub fn get(&self, id: &str) -> Result<Arc<Mutex<StreamingSession>>, ServiceError> {
-        self.streams
+    /// Inserts the entry `build` makes under `target`, unless one is there.
+    fn insert_once(
+        &self,
+        target: Target,
+        build: impl FnOnce() -> Result<Entry, ServiceError>,
+    ) -> Result<(), ServiceError> {
+        let mut entries = self.entries.lock().expect("pool mutex poisoned");
+        if let Slot::Vacant(slot) = entries.entry(target) {
+            slot.insert(Arc::new(build()?));
+        }
+        Ok(())
+    }
+
+    /// Looks up `target` for `tenant`, checking its owner: a binding needs
+    /// the tenant's own registration of the bound plan (the shared session
+    /// id alone grants nothing), and a stream must be the tenant's own —
+    /// another tenant's stream is as good as unknown, which keeps one
+    /// tenant's deltas out of another tenant's releases.
+    pub fn get(
+        &self,
+        tenant: &str,
+        target: &Target,
+        registry: &Registry,
+    ) -> Result<Arc<Entry>, ServiceError> {
+        let unknown = || ServiceError::UnknownSession(target.id().into());
+        let entry = self
+            .entries
             .lock()
-            .expect("stream pool mutex poisoned")
-            .get(id)
+            .expect("pool mutex poisoned")
+            .get(target)
             .cloned()
-            .ok_or_else(|| ServiceError::UnknownSession(id.into()))
-    }
-
-    /// Number of open streams.
-    pub fn len(&self) -> usize {
-        self.streams
-            .lock()
-            .expect("stream pool mutex poisoned")
-            .len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for StreamPool {
-    fn default() -> StreamPool {
-        StreamPool::new()
+            .ok_or_else(unknown)?;
+        match &*entry {
+            Entry::Binding { plan_id, .. } => {
+                registry.lookup(tenant, plan_id)?;
+            }
+            Entry::Stream { tenant: owner, .. } if owner != tenant => return Err(unknown()),
+            Entry::Stream { .. } => {}
+        }
+        Ok(entry)
     }
 }
 
@@ -242,15 +285,29 @@ mod tests {
     use super::*;
     use dp_core::{PlanBuilder, Schema, StrategyKind, Workload};
 
-    #[test]
-    fn binding_is_idempotent_and_typed_on_misses() {
+    fn builder() -> PlanBuilder {
         let schema = Schema::binary(3).unwrap();
         let workload = Workload::all_k_way(&schema, 1).unwrap();
-        let plan = Arc::new(
-            PlanBuilder::marginals(workload, StrategyKind::Fourier)
-                .compile()
-                .unwrap(),
-        );
+        PlanBuilder::marginals(workload, StrategyKind::Fourier)
+    }
+
+    fn entries(pool: &Pool) -> usize {
+        pool.entries.lock().unwrap().len()
+    }
+
+    fn stream_counts(entry: &Entry) -> Vec<f64> {
+        let Held::Stream(session) = entry.hold() else {
+            panic!("not a stream");
+        };
+        session.counts().to_vec()
+    }
+
+    #[test]
+    fn binding_is_idempotent_shared_and_typed_on_misses() {
+        let registry = Registry::new();
+        let pid = registry.register_compiled("t", builder()).unwrap();
+        registry.register_compiled("u", builder()).unwrap();
+        let plan = registry.lookup("t", &pid).unwrap();
 
         let store = DataStore::new();
         store.insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 7, 7]));
@@ -259,59 +316,71 @@ mod tests {
             Err(ServiceError::UnknownTable(_))
         ));
 
-        let pool = SessionPool::new();
+        let pool = Pool::default();
         let dataset = store.get("toy").unwrap();
-        let id = pool
-            .bind("abc", "toy", Arc::clone(&plan), &dataset)
-            .unwrap();
-        assert_eq!(id, "abc/toy");
-        let again = pool.bind("abc", "toy", plan, &dataset).unwrap();
+        let id = pool.bind(&pid, "toy", Arc::clone(&plan), &dataset).unwrap();
+        assert_eq!(id, format!("{pid}/toy"));
+        let again = pool.bind(&pid, "toy", plan, &dataset).unwrap();
         assert_eq!(id, again);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(entries(&pool), 1);
 
-        let session = pool.get(&id).unwrap();
-        let a = session.release(7).unwrap();
-        let b = session.release(7).unwrap();
+        // Both registered tenants resolve the one shared binding.
+        let target = Target::Session(id);
+        let entry = pool.get("t", &target, &registry).unwrap();
+        assert!(Arc::ptr_eq(
+            &entry,
+            &pool.get("u", &target, &registry).unwrap()
+        ));
+        let a = entry.hold().release_batch(&[7]).unwrap();
+        let b = entry.hold().release_batch(&[7]).unwrap();
         assert_eq!(
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&a)),
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&b)),
+            crate::protocol::render_line(&crate::protocol::session_release_to_value(&a[0])),
+            crate::protocol::render_line(&crate::protocol::session_release_to_value(&b[0])),
             "releases are seed-deterministic"
         );
+        // A tenant that never registered the plan gets nothing.
         assert!(matches!(
-            pool.get("nope"),
+            pool.get("v", &target, &registry),
+            Err(ServiceError::UnknownPlan { .. })
+        ));
+        assert!(matches!(
+            pool.get("t", &Target::Session("nope".into()), &registry),
             Err(ServiceError::UnknownSession(_))
         ));
     }
 
     #[test]
     fn stream_open_is_idempotent_and_keeps_state() {
-        let schema = Schema::binary(3).unwrap();
-        let workload = Workload::all_k_way(&schema, 1).unwrap();
-        let plan = Arc::new(
-            PlanBuilder::marginals(workload, StrategyKind::Fourier)
-                .compile()
-                .unwrap(),
-        );
-
-        let pool = StreamPool::new();
+        let plan = Arc::new(builder().compile().unwrap());
+        let registry = Registry::new();
+        let pool = Pool::default();
         let id = pool
-            .open("acme", "abc", None, Arc::clone(&plan), None)
+            .open_stream("acme", "abc", None, Arc::clone(&plan), None)
             .unwrap();
         assert_eq!(id, "acme/abc/");
+        let target = Target::Stream(id.clone());
 
         // Push state in, then re-open: the ingests must survive.
-        pool.get(&id).unwrap().lock().unwrap().ingest(5).unwrap();
+        let entry = pool.get("acme", &target, &registry).unwrap();
+        let Held::Stream(mut session) = entry.hold() else {
+            panic!("not a stream");
+        };
+        session.ingest(5).unwrap();
+        drop(session);
         let again = pool
-            .open("acme", "abc", None, Arc::clone(&plan), None)
+            .open_stream("acme", "abc", None, Arc::clone(&plan), None)
             .unwrap();
         assert_eq!(id, again);
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.get(&id).unwrap().lock().unwrap().counts()[5], 1.0);
+        assert_eq!(entries(&pool), 1);
+        assert_eq!(
+            stream_counts(&pool.get("acme", &target, &registry).unwrap())[5],
+            1.0
+        );
 
         // Seeding from a dataset and tenant isolation.
         let table = ContingencyTable::from_indices(3, &[2, 2, 6]);
         let seeded = pool
-            .open(
+            .open_stream(
                 "beta",
                 "abc",
                 Some("toy"),
@@ -320,10 +389,18 @@ mod tests {
             )
             .unwrap();
         assert_eq!(seeded, "beta/abc/toy");
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.get(&seeded).unwrap().lock().unwrap().counts()[2], 2.0);
+        assert_eq!(entries(&pool), 2);
+        let seeded = Target::Stream(seeded);
+        assert_eq!(
+            stream_counts(&pool.get("beta", &seeded, &registry).unwrap())[2],
+            2.0
+        );
         assert!(matches!(
-            pool.get("ghost/abc/"),
+            pool.get("acme", &seeded, &registry),
+            Err(ServiceError::UnknownSession(_))
+        ));
+        assert!(matches!(
+            pool.get("ghost", &Target::Stream("ghost/abc/".into()), &registry),
             Err(ServiceError::UnknownSession(_))
         ));
     }

@@ -1,9 +1,10 @@
 //! The release service core: one object tying the accountant, registry,
-//! data store, and session pool together, independent of any transport.
+//! data store, and pool together, independent of any transport.
 //!
-//! The privacy-critical ordering lives in [`DpService::release`]: the
-//! whole batch is composed into one charge ([`dp_mech::compose_n`]) and
-//! debited from the tenant's ledger **before** any noise is drawn. A
+//! The privacy-critical ordering lives in [`DpService::release`], the one
+//! release path for bound sessions and streams alike: the whole batch is
+//! composed into one charge ([`dp_mech::compose_n`]) and debited from the
+//! tenant's ledger **before** any noise is drawn. A
 //! rejected debit therefore consumes no randomness and leaks nothing; a
 //! release failure *after* a granted debit burns budget without output,
 //! which is the safe direction (never overspend).
@@ -20,10 +21,10 @@ use crate::accountant::{Accountant, BudgetStatus, ReleaseAdmission};
 use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
-use crate::pool::{DataStore, SessionPool, StreamPool};
+use crate::pool::{DataStore, Held, Pool, Target};
 use crate::protocol::{ok_response, privacy_to_value, session_release_to_value, Request};
-use crate::registry::{plan_id, Registry};
-use dp_core::api::{SessionRelease, StreamingSession};
+use crate::registry::Registry;
+use dp_core::api::SessionRelease;
 use dp_core::{Plan, PlanBuilder};
 use dp_mech::{compose_n, PrivacyLevel};
 use serde::Value;
@@ -33,8 +34,7 @@ pub struct DpService {
     accountant: Accountant,
     auth: Auth,
     registry: Registry,
-    pool: SessionPool,
-    streams: StreamPool,
+    pool: Pool,
     data: DataStore,
     /// Per-tenant cap on wire releases being computed at once (`None` =
     /// unbounded). Excess requests are shed with the typed, retryable
@@ -43,28 +43,21 @@ pub struct DpService {
     inflight: Mutex<HashMap<String, usize>>,
 }
 
-/// The success response for a batch of releases — the one shape both the
-/// fresh path and idempotent replay must produce identically.
-fn release_response(releases: &[SessionRelease]) -> Value {
-    ok_response(vec![(
+/// The success response for a batch of releases. A keyed response echoes
+/// the client's `request_id`, so pipelined clients can match out-of-order
+/// responses to their requests. Fresh computation, cached replay, and
+/// post-restart recomputation all build this same shape, so replays stay
+/// byte-identical.
+fn release_response(releases: &[SessionRelease], request_id: Option<&str>) -> Value {
+    let mut fields = Vec::with_capacity(2);
+    if let Some(rid) = request_id {
+        fields.push(("request_id".into(), Value::String(rid.into())));
+    }
+    fields.push((
         "releases".into(),
         Value::Array(releases.iter().map(session_release_to_value).collect()),
-    )])
-}
-
-/// The keyed (idempotent) release response: the client's `request_id` is
-/// echoed so pipelined clients can match out-of-order responses to their
-/// requests. Fresh computation, cached replay, and post-restart
-/// recomputation all build this same shape, so replays stay
-/// byte-identical.
-fn keyed_release_response(releases: &[SessionRelease], request_id: &str) -> Value {
-    ok_response(vec![
-        ("request_id".into(), Value::String(request_id.into())),
-        (
-            "releases".into(),
-            Value::Array(releases.iter().map(session_release_to_value).collect()),
-        ),
-    ])
+    ));
+    ok_response(fields)
 }
 
 /// RAII decrement for the per-tenant in-flight release counter.
@@ -103,8 +96,7 @@ impl DpService {
             accountant,
             auth,
             registry: Registry::new(),
-            pool: SessionPool::new(),
-            streams: StreamPool::new(),
+            pool: Pool::default(),
             data: DataStore::new(),
             tenant_inflight_cap: None,
             inflight: Mutex::new(HashMap::new()),
@@ -195,72 +187,63 @@ impl DpService {
         self.pool.bind(plan_id, table, plan, &dataset)
     }
 
-    /// Draws one deterministic release per seed. The whole batch is one
-    /// sequential-composition charge, debited before any noise is drawn.
+    /// Draws one deterministic release per seed from a bound session or a
+    /// stream: the one release path, for wire and in-process callers
+    /// alike. Every call runs the same admission sequence:
+    ///
+    /// 1. the tenant must exist;
+    /// 2. the target must resolve and the tenant must be allowed to use it
+    ///    ([`Pool::get`]), so an unknown or foreign target is a typed error
+    ///    even for an empty batch;
+    /// 3. an empty batch is then a no-op: nothing drawn, nothing charged;
+    /// 4. the whole batch is one sequential-composition charge
+    ///    ([`compose_n`]),
+    /// 5. debited before any noise is drawn: a plain debit, or under a
+    ///    `request_id` an [`Accountant::admit_release`] that journals
+    ///    `(tenant, request_id)` durably with the debit. A retry of the id
+    ///    (same target and seeds) debits nothing: it gets another handle
+    ///    on the cached response, byte-identical on the wire, or a
+    ///    recomputation when the first attempt died after the debit, the
+    ///    cache evicted the response, or the server restarted;
+    /// 6. a fresh admission passes the `release.post_debit` failpoint;
+    /// 7. the releases are drawn, with a stream held locked from step 4
+    ///    on, so they see one consistent snapshot while ingests race;
+    /// 8. a keyed response is recorded for replay.
     pub fn release(
         &self,
         tenant: &str,
-        session: &str,
+        target: &Target,
         seeds: &[u64],
-    ) -> Result<Vec<SessionRelease>, ServiceError> {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let session = self.pool.get(session)?;
-        // A session is shared across tenants; authorization is against the
-        // tenant's own registration of the underlying plan.
-        let pid = plan_id(session.plan());
-        self.registry.lookup(tenant, &pid)?;
-        let charge = compose_n(session.plan().privacy(), seeds.len());
-        self.accountant.try_debit(tenant, charge)?;
-        session.release_batch(seeds).map_err(Into::into)
-    }
-
-    /// Draws releases under an idempotency key, returning the full wire
-    /// response value (shared, never deep-cloned — replays hand out more
-    /// handles on the same `Arc`). Exactly-once semantics: the first
-    /// admission debits the composed charge and journals
-    /// `(tenant, request_id)` — durably, via the accountant's group
-    /// commit, before any noise is drawn; any retry with the same id
-    /// (same session/seeds) returns the same response value —
-    /// byte-identical on the wire — without a second debit, even if the
-    /// first attempt died after the debit, and even across a server
-    /// restart (the WAL replays the journal; releases are
-    /// seed-deterministic, so a recomputed response matches the lost
-    /// one). The response echoes the `request_id`, so pipelined clients
-    /// can match out-of-order responses.
-    pub fn release_idempotent(
-        &self,
-        tenant: &str,
-        session_id: &str,
-        seeds: &[u64],
-        request_id: &str,
+        request_id: Option<&str>,
     ) -> Result<Arc<Value>, ServiceError> {
+        self.require_tenant(tenant)?;
+        let entry = self.pool.get(tenant, target, &self.registry)?;
         if seeds.is_empty() {
-            return Ok(Arc::new(keyed_release_response(&[], request_id)));
+            return Ok(Arc::new(release_response(&[], request_id)));
         }
-        let session = self.pool.get(session_id)?;
-        // A session is shared across tenants; authorization is against the
-        // tenant's own registration of the underlying plan.
-        let pid = plan_id(session.plan());
-        self.registry.lookup(tenant, &pid)?;
+        let session = entry.hold();
         let charge = compose_n(session.plan().privacy(), seeds.len());
-        match self
-            .accountant
-            .admit_release(tenant, request_id, session_id, seeds, charge)?
-        {
-            ReleaseAdmission::Replay(Some(cached)) => Ok(cached),
-            admission => {
-                if matches!(admission, ReleaseAdmission::Fresh) {
-                    fail_point!("release.post_debit");
+        match request_id {
+            None => self.accountant.try_debit(tenant, charge)?,
+            Some(rid) => {
+                match self
+                    .accountant
+                    .admit_release(tenant, rid, target.id(), seeds, charge)?
+                {
+                    ReleaseAdmission::Replay(Some(cached)) => return Ok(cached),
+                    ReleaseAdmission::Replay(None) => {}
+                    ReleaseAdmission::Fresh => {
+                        fail_point!("release.post_debit");
+                    }
                 }
-                let releases = session.release_batch(seeds)?;
-                let response = Arc::new(keyed_release_response(&releases, request_id));
-                self.accountant
-                    .record_response(tenant, request_id, &response);
-                Ok(response)
             }
         }
+        let releases = session.release_batch(seeds)?;
+        let response = Arc::new(release_response(&releases, request_id));
+        if let Some(rid) = request_id {
+            self.accountant.record_response(tenant, rid, &response);
+        }
+        Ok(response)
     }
 
     /// Opens (or re-opens) a per-tenant streaming session over a
@@ -268,8 +251,8 @@ impl DpService {
     /// returns the stream id. Idempotent and non-destructive: reopening
     /// an existing stream keeps every accumulated delta, which is what
     /// lets a crashed publisher reconnect and resume its schedule.
-    /// Ingests are uncharged — only [`DpService::release_current`]
-    /// touches the budget.
+    /// Ingests are uncharged — only [`DpService::release`] touches the
+    /// budget.
     pub fn stream_open(
         &self,
         tenant: &str,
@@ -282,28 +265,14 @@ impl DpService {
             Some(name) => Some(self.data.get(name)?),
             None => None,
         };
-        self.streams
-            .open(tenant, plan, table, compiled, dataset.as_deref())
+        self.pool
+            .open_stream(tenant, plan, table, compiled, dataset.as_deref())
     }
 
-    /// Looks up `stream` for `tenant`. Stream ids embed the tenant, so
-    /// another tenant's id is as good as unknown — the check keeps one
-    /// tenant's deltas out of another tenant's releases.
-    fn tenant_stream(
-        &self,
-        tenant: &str,
-        stream: &str,
-    ) -> Result<Arc<Mutex<StreamingSession>>, ServiceError> {
-        if !stream.starts_with(&format!("{tenant}/")) {
-            return Err(ServiceError::UnknownSession(stream.into()));
-        }
-        self.streams.get(stream)
-    }
-
-    /// Applies one record-level delta to a stream — O(Δ) against the
-    /// compiled strategy, no rebind or recompile. Uncharged: a delta
-    /// changes what a *future* release will say, not what has already
-    /// been released.
+    /// Applies one record-level delta to the tenant's own stream — O(Δ)
+    /// against the compiled strategy, no rebind or recompile. Uncharged: a
+    /// delta changes what a *future* release will say, not what has
+    /// already been released.
     pub fn stream_ingest(
         &self,
         tenant: &str,
@@ -312,62 +281,13 @@ impl DpService {
         delta: f64,
     ) -> Result<(), ServiceError> {
         self.require_tenant(tenant)?;
-        let stream = self.tenant_stream(tenant, stream)?;
-        let mut session = stream.lock().expect("stream mutex poisoned");
+        let entry = self
+            .pool
+            .get(tenant, &Target::Stream(stream.into()), &self.registry)?;
+        let Held::Stream(mut session) = entry.hold() else {
+            unreachable!("stream targets resolve to streams");
+        };
         session.ingest_count(cell, delta).map_err(Into::into)
-    }
-
-    /// Releases the stream's *current* bound observations — the metered
-    /// step of the continual-release loop. The batch is one composed
-    /// charge debited before any noise is drawn, exactly like
-    /// [`DpService::release`]. With a `request_id` the call is
-    /// idempotent: the first admission journals `(tenant, request_id)`
-    /// durably and any re-drive replays the cached bytes without a
-    /// second debit, so a publisher that crashed mid-schedule can replay
-    /// its whole request-id sequence and be charged exactly once per id.
-    /// The stream lock is held across the release, so the snapshot is
-    /// consistent even while ingests race.
-    pub fn release_current(
-        &self,
-        tenant: &str,
-        stream: &str,
-        seeds: &[u64],
-        request_id: Option<&str>,
-    ) -> Result<Arc<Value>, ServiceError> {
-        self.require_tenant(tenant)?;
-        if seeds.is_empty() {
-            // Mirrors `release`/`release_idempotent`: an empty batch is a
-            // well-formed no-op — nothing drawn, nothing charged.
-            return Ok(Arc::new(match request_id {
-                Some(rid) => keyed_release_response(&[], rid),
-                None => release_response(&[]),
-            }));
-        }
-        let handle = self.tenant_stream(tenant, stream)?;
-        let session = handle.lock().expect("stream mutex poisoned");
-        let charge = compose_n(session.plan().privacy(), seeds.len());
-        match request_id {
-            None => {
-                self.accountant.try_debit(tenant, charge)?;
-                let releases = session.release_batch(seeds)?;
-                Ok(Arc::new(release_response(&releases)))
-            }
-            Some(rid) => match self
-                .accountant
-                .admit_release(tenant, rid, stream, seeds, charge)?
-            {
-                ReleaseAdmission::Replay(Some(cached)) => Ok(cached),
-                admission => {
-                    if matches!(admission, ReleaseAdmission::Fresh) {
-                        fail_point!("release.post_debit");
-                    }
-                    let releases = session.release_batch(seeds)?;
-                    let response = Arc::new(keyed_release_response(&releases, rid));
-                    self.accountant.record_response(tenant, rid, &response);
-                    Ok(response)
-                }
-            },
-        }
     }
 
     /// The tenant's current budget position.
@@ -459,13 +379,8 @@ impl DpService {
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let _slot = self.acquire_inflight(&tenant)?;
-                match request_id {
-                    Some(rid) => self.release_idempotent(&tenant, &session, &seeds, &rid),
-                    None => {
-                        let releases = self.release(&tenant, &session, &seeds)?;
-                        Ok(Arc::new(release_response(&releases)))
-                    }
-                }
+                let target = Target::Session(session);
+                self.release(&tenant, &target, &seeds, request_id.as_deref())
             }
             Request::StreamOpen {
                 tenant,
@@ -500,7 +415,8 @@ impl DpService {
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let _slot = self.acquire_inflight(&tenant)?;
-                self.release_current(&tenant, &stream, &seeds, request_id.as_deref())
+                let target = Target::Stream(stream);
+                self.release(&tenant, &target, &seeds, request_id.as_deref())
             }
             Request::BudgetStatus { tenant } => {
                 self.auth.check_tenant(&tenant, credential)?;
@@ -556,6 +472,27 @@ mod tests {
             .privacy(PrivacyLevel::Pure { epsilon })
     }
 
+    fn session(id: &str) -> Target {
+        Target::Session(id.into())
+    }
+
+    fn stream(id: &str) -> Target {
+        Target::Stream(id.into())
+    }
+
+    fn render(response: &Value) -> String {
+        crate::protocol::render_line(response)
+    }
+
+    fn release_count(response: &Value) -> usize {
+        response
+            .get_field("releases")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .len()
+    }
+
     #[test]
     fn end_to_end_release_meters_the_budget() {
         let service = service_with_toy_table();
@@ -563,21 +500,21 @@ mod tests {
             .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
             .unwrap();
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
-        let session = service.bind("t", &plan_id, "toy").unwrap();
+        let target = session(&service.bind("t", &plan_id, "toy").unwrap());
 
-        let releases = service.release("t", &session, &[1, 2, 3]).unwrap();
-        assert_eq!(releases.len(), 3);
+        let releases = service.release("t", &target, &[1, 2, 3], None).unwrap();
+        assert_eq!(release_count(&releases), 3);
         let status = service.budget_status("t").unwrap();
         assert_eq!(status.spent_epsilon, 0.75);
         assert_eq!(status.charges, 1, "a batch is one composed charge");
 
         // 0.25 remains: a 2-seed batch (0.5) must be rejected whole...
         assert!(matches!(
-            service.release("t", &session, &[4, 5]),
+            service.release("t", &target, &[4, 5], None),
             Err(ServiceError::BudgetExhausted { .. })
         ));
         // ...without burning the remainder, which a 1-seed release can use.
-        service.release("t", &session, &[4]).unwrap();
+        service.release("t", &target, &[4], None).unwrap();
         assert_eq!(service.budget_status("t").unwrap().remaining_epsilon, 0.0);
     }
 
@@ -601,8 +538,12 @@ mod tests {
             Err(ServiceError::UnknownTable(_))
         ));
         assert!(matches!(
-            service.release("t", "nope", &[1]),
+            service.release("t", &session("nope"), &[1], None),
             Err(ServiceError::UnknownSession(_))
+        ));
+        assert!(matches!(
+            service.release("ghost", &session("nope"), &[1], None),
+            Err(ServiceError::UnknownTenant(_))
         ));
     }
 
@@ -676,6 +617,11 @@ mod tests {
         let sa = service.bind("alice", &a, "toy").unwrap();
         let sb = service.bind("bob", &b, "toy").unwrap();
         assert_eq!(sa, sb, "same plan + table share one session");
+        let shared = session(&sa);
+        assert_eq!(
+            render(&service.release("alice", &shared, &[1], None).unwrap()),
+            render(&service.release("bob", &shared, &[1], None).unwrap()),
+        );
 
         // Carol never registered the plan: the shared session id alone
         // must not grant access.
@@ -683,7 +629,7 @@ mod tests {
             .open_tenant("carol", PrivacyLevel::Pure { epsilon: 1.0 })
             .unwrap();
         assert!(matches!(
-            service.release("carol", &sa, &[1]),
+            service.release("carol", &shared, &[1], None),
             Err(ServiceError::UnknownPlan { .. })
         ));
     }
@@ -695,36 +641,28 @@ mod tests {
             .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
             .unwrap();
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
-        let session = service.bind("t", &plan_id, "toy").unwrap();
+        let target = session(&service.bind("t", &plan_id, "toy").unwrap());
 
-        let first = service
-            .release_idempotent("t", &session, &[1, 2], "r1")
-            .unwrap();
+        let first = service.release("t", &target, &[1, 2], Some("r1")).unwrap();
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.5);
         for _ in 0..3 {
-            let again = service
-                .release_idempotent("t", &session, &[1, 2], "r1")
-                .unwrap();
+            let again = service.release("t", &target, &[1, 2], Some("r1")).unwrap();
             assert_eq!(
-                crate::protocol::render_line(&again),
-                crate::protocol::render_line(&first),
+                render(&again),
+                render(&first),
                 "replays must be byte-identical"
             );
         }
         // Still one charge — and the replay even works with the budget
         // fully exhausted, because nothing new is debited.
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.5);
-        service
-            .release_idempotent("t", &session, &[9, 10], "r2")
-            .unwrap();
+        service.release("t", &target, &[9, 10], Some("r2")).unwrap();
         assert_eq!(service.budget_status("t").unwrap().remaining_epsilon, 0.0);
-        service
-            .release_idempotent("t", &session, &[1, 2], "r1")
-            .unwrap();
+        service.release("t", &target, &[1, 2], Some("r1")).unwrap();
 
         // Reusing an id with different seeds is the typed client bug.
         assert!(matches!(
-            service.release_idempotent("t", &session, &[3, 4], "r1"),
+            service.release("t", &target, &[3, 4], Some("r1")),
             Err(ServiceError::IdempotencyMismatch { .. })
         ));
     }
@@ -732,30 +670,43 @@ mod tests {
     #[test]
     fn empty_seed_batches_are_uncharged_no_ops_on_every_release_path() {
         let service = service_with_toy_table();
-        service
-            .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
-            .unwrap();
+        for tenant in ["t", "u"] {
+            service
+                .open_tenant(tenant, PrivacyLevel::Pure { epsilon: 1.0 })
+                .unwrap();
+        }
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
-        let session = service.bind("t", &plan_id, "toy").unwrap();
-        let stream = service.stream_open("t", &plan_id, None).unwrap();
+        service.register_compiled("u", builder(0.25)).unwrap();
+        let bound = session(&service.bind("t", &plan_id, "toy").unwrap());
+        let streamed = stream(&service.stream_open("t", &plan_id, None).unwrap());
 
-        assert!(service.release("t", &session, &[]).unwrap().is_empty());
-        let keyed = service
-            .release_idempotent("t", &session, &[], "r-empty")
-            .unwrap();
-        assert!(crate::protocol::render_line(&keyed).contains("\"releases\":[]"));
-        for rid in [None, Some("s-empty")] {
-            let resp = service.release_current("t", &stream, &[], rid).unwrap();
-            assert!(crate::protocol::render_line(&resp).contains("\"releases\":[]"));
+        for target in [&bound, &streamed] {
+            for rid in [None, Some("r-empty")] {
+                let resp = service.release("t", target, &[], rid).unwrap();
+                assert_eq!(release_count(&resp), 0);
+            }
         }
         // No noise drawn, no budget consumed, no charge journaled — an
         // empty id is even reusable with real seeds later.
         let status = service.budget_status("t").unwrap();
         assert_eq!(status.spent_epsilon, 0.0);
         assert_eq!(status.charges, 0);
-        service
-            .release_idempotent("t", &session, &[1], "r-empty")
-            .unwrap();
+        service.release("t", &bound, &[1], Some("r-empty")).unwrap();
+
+        // An empty batch still resolves and authorizes its target first:
+        // an unknown session and another tenant's stream are typed errors.
+        let foreign = stream(&service.stream_open("u", &plan_id, None).unwrap());
+        for rid in [None, Some("r-foreign")] {
+            assert!(matches!(
+                service.release("t", &session("nope"), &[], rid),
+                Err(ServiceError::UnknownSession(_))
+            ));
+            assert!(matches!(
+                service.release("t", &foreign, &[], rid),
+                Err(ServiceError::UnknownSession(_))
+            ));
+        }
+        assert_eq!(service.budget_status("t").unwrap().charges, 1);
     }
 
     #[test]
@@ -765,39 +716,31 @@ mod tests {
             .open_tenant("t", PrivacyLevel::Pure { epsilon: 2.0 })
             .unwrap();
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
-        let stream = service.stream_open("t", &plan_id, Some("toy")).unwrap();
-        assert_eq!(stream, format!("t/{plan_id}/toy"));
+        let id = service.stream_open("t", &plan_id, Some("toy")).unwrap();
+        assert_eq!(id, format!("t/{plan_id}/toy"));
+        let streamed = stream(&id);
 
         // A stream seeded from a dataset releases exactly what a bound
         // session over that dataset releases.
-        let session = service.bind("t", &plan_id, "toy").unwrap();
-        let from_stream = service.release_current("t", &stream, &[42], None).unwrap();
-        let from_session = release_response(&service.release("t", &session, &[42]).unwrap());
-        assert_eq!(
-            crate::protocol::render_line(&from_stream),
-            crate::protocol::render_line(&from_session),
-        );
+        let bound = session(&service.bind("t", &plan_id, "toy").unwrap());
+        let from_stream = service.release("t", &streamed, &[42], None).unwrap();
+        let from_session = service.release("t", &bound, &[42], None).unwrap();
+        assert_eq!(render(&from_stream), render(&from_session));
 
         // Deltas are uncharged and visible to the next release.
         let spent = service.budget_status("t").unwrap().spent_epsilon;
         for _ in 0..5 {
-            service.stream_ingest("t", &stream, 3, 1.0).unwrap();
+            service.stream_ingest("t", &id, 3, 1.0).unwrap();
         }
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, spent);
-        let after = service.release_current("t", &stream, &[42], None).unwrap();
-        assert_ne!(
-            crate::protocol::render_line(&after),
-            crate::protocol::render_line(&from_stream),
-        );
+        let after = service.release("t", &streamed, &[42], None).unwrap();
+        assert_ne!(render(&after), render(&from_stream));
 
         // Reopening never resets: the five ingests survive.
         let again = service.stream_open("t", &plan_id, Some("toy")).unwrap();
-        assert_eq!(again, stream);
-        let re_release = service.release_current("t", &stream, &[42], None).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&re_release),
-            crate::protocol::render_line(&after),
-        );
+        assert_eq!(again, id);
+        let re_release = service.release("t", &streamed, &[42], None).unwrap();
+        assert_eq!(render(&re_release), render(&after));
     }
 
     #[test]
@@ -810,21 +753,21 @@ mod tests {
         }
         let plan_id = service.register_compiled("alice", builder(0.25)).unwrap();
         service.register_compiled("bob", builder(0.25)).unwrap();
-        let stream = service.stream_open("alice", &plan_id, None).unwrap();
+        let id = service.stream_open("alice", &plan_id, None).unwrap();
 
         // Bob shares the plan, but alice's stream id gets him nothing —
         // not an ingest, not a release.
         assert!(matches!(
-            service.stream_ingest("bob", &stream, 0, 1.0),
+            service.stream_ingest("bob", &id, 0, 1.0),
             Err(ServiceError::UnknownSession(_))
         ));
         assert!(matches!(
-            service.release_current("bob", &stream, &[1], None),
+            service.release("bob", &stream(&id), &[1], None),
             Err(ServiceError::UnknownSession(_))
         ));
         // Bob's own open gets a distinct stream.
         let bobs = service.stream_open("bob", &plan_id, None).unwrap();
-        assert_ne!(bobs, stream);
+        assert_ne!(bobs, id);
         // A plan carol never registered cannot be streamed.
         service
             .open_tenant("carol", PrivacyLevel::Pure { epsilon: 1.0 })
@@ -842,42 +785,37 @@ mod tests {
             .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
             .unwrap();
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
-        let stream = service.stream_open("t", &plan_id, None).unwrap();
+        let id = service.stream_open("t", &plan_id, None).unwrap();
+        let streamed = stream(&id);
 
-        service.stream_ingest("t", &stream, 1, 1.0).unwrap();
+        service.stream_ingest("t", &id, 1, 1.0).unwrap();
         let first = service
-            .release_current("t", &stream, &[7], Some("pub-1"))
+            .release("t", &streamed, &[7], Some("pub-1"))
             .unwrap();
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.25);
 
         // The stream moves on, but a re-driven id must replay the bytes
         // from the admitted release — no re-noise, no second debit.
-        service.stream_ingest("t", &stream, 6, 3.0).unwrap();
+        service.stream_ingest("t", &id, 6, 3.0).unwrap();
         for _ in 0..3 {
             let replay = service
-                .release_current("t", &stream, &[7], Some("pub-1"))
+                .release("t", &streamed, &[7], Some("pub-1"))
                 .unwrap();
-            assert_eq!(
-                crate::protocol::render_line(&replay),
-                crate::protocol::render_line(&first),
-            );
+            assert_eq!(render(&replay), render(&first));
         }
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.25);
         assert_eq!(service.budget_status("t").unwrap().charges, 1);
 
         // A fresh id sees the post-ingest state and is a second charge.
         let second = service
-            .release_current("t", &stream, &[7], Some("pub-2"))
+            .release("t", &streamed, &[7], Some("pub-2"))
             .unwrap();
-        assert_ne!(
-            crate::protocol::render_line(&second),
-            crate::protocol::render_line(&first),
-        );
+        assert_ne!(render(&second), render(&first));
         assert_eq!(service.budget_status("t").unwrap().charges, 2);
 
         // Reusing an id with different seeds is the typed client bug.
         assert!(matches!(
-            service.release_current("t", &stream, &[8], Some("pub-1")),
+            service.release("t", &streamed, &[8], Some("pub-1")),
             Err(ServiceError::IdempotencyMismatch { .. })
         ));
     }
@@ -926,5 +864,82 @@ mod tests {
                 None,
             )
             .unwrap();
+    }
+
+    #[test]
+    fn release_ops_resolve_only_their_own_kind_of_target() {
+        let service = service_with_toy_table();
+        service
+            .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
+            .unwrap();
+        let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
+        let session_id = service.bind("t", &plan_id, "toy").unwrap();
+        let stream_id = service.stream_open("t", &plan_id, Some("toy")).unwrap();
+
+        // `release` naming a stream id, and `release_current` naming a
+        // session id, find nothing and charge nothing.
+        for request_id in [None, Some("r1".to_string())] {
+            let wrong_kind = [
+                Request::Release {
+                    tenant: "t".into(),
+                    session: stream_id.clone(),
+                    seeds: vec![1],
+                    request_id: request_id.clone(),
+                },
+                Request::ReleaseCurrent {
+                    tenant: "t".into(),
+                    stream: session_id.clone(),
+                    seeds: vec![1],
+                    request_id: request_id.clone(),
+                },
+            ];
+            for request in wrong_kind {
+                assert!(matches!(
+                    service.handle(request, None),
+                    Err(ServiceError::UnknownSession(_))
+                ));
+            }
+        }
+        let status = service.budget_status("t").unwrap();
+        assert_eq!(status.charges, 0);
+        assert_eq!(status.spent_epsilon, 0.0);
+    }
+
+    #[test]
+    fn coinciding_session_and_stream_ids_stay_separate_entries() {
+        // A tenant named like a plan id, and a table name containing `/`,
+        // make a session id and a stream id the same string:
+        // `"<p>/<x>/y"` is plan p bound to table `"<x>/y"`, and also
+        // tenant p's stream over plan x seeded from table `"y"`.
+        let service = service_with_toy_table();
+        service
+            .open_tenant("setup", PrivacyLevel::Pure { epsilon: 1.0 })
+            .unwrap();
+        let p = service.register_compiled("setup", builder(0.25)).unwrap();
+        let x = service.register_compiled("setup", builder(0.5)).unwrap();
+        service
+            .open_tenant(&p, PrivacyLevel::Pure { epsilon: 2.0 })
+            .unwrap();
+        service.register_compiled(&p, builder(0.25)).unwrap();
+        service.register_compiled(&p, builder(0.5)).unwrap();
+        let table = ContingencyTable::from_indices(3, &[0, 1, 2, 7, 7]);
+        service.data().insert_table("y", table.clone());
+        service.data().insert_table(&format!("{x}/y"), table);
+
+        let session_id = service.bind(&p, &p, &format!("{x}/y")).unwrap();
+        let stream_id = service.stream_open(&p, &x, Some("y")).unwrap();
+        assert_eq!(session_id, stream_id);
+
+        // Each kind resolves to its own entry: the binding releases plan
+        // p (ε = 0.25), the stream plan x (ε = 0.5), and the stream's
+        // ingests never reach the binding.
+        let id = session_id;
+        let before = service.release(&p, &session(&id), &[3], None).unwrap();
+        assert_eq!(service.budget_status(&p).unwrap().spent_epsilon, 0.25);
+        service.release(&p, &stream(&id), &[3], None).unwrap();
+        assert_eq!(service.budget_status(&p).unwrap().spent_epsilon, 0.75);
+        service.stream_ingest(&p, &id, 5, 4.0).unwrap();
+        let after = service.release(&p, &session(&id), &[3], None).unwrap();
+        assert_eq!(render(&before), render(&after));
     }
 }

@@ -1,10 +1,8 @@
 //! Integration tests for the two-phase plan/session API: determinism,
-//! byte-identity with the legacy single-shot paths, batch invariance,
-//! serde round-trips and cache behavior.
+//! batch invariance, serde round-trips and cache behavior. Agreement with
+//! the dense framework oracle is pinned in `unified_oracle.rs`.
 
 use datacube_dp::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 fn small_table(d: usize, seed: u64) -> ContingencyTable {
@@ -17,108 +15,6 @@ fn small_table(d: usize, seed: u64) -> ContingencyTable {
 
 fn hist(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 13) % 7) as f64).collect()
-}
-
-#[test]
-#[allow(deprecated)] // compares against the legacy path on purpose
-fn session_releases_are_byte_identical_to_legacy_marginal_planner() {
-    let d = 6;
-    let table = small_table(d, 1);
-    let schema = Schema::binary(d).unwrap();
-    let w = Workload::all_k_way(&schema, 2).unwrap();
-    for strategy in [
-        StrategyKind::Identity,
-        StrategyKind::Workload,
-        StrategyKind::Fourier,
-        StrategyKind::Cluster,
-    ] {
-        for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
-            for privacy in [
-                PrivacyLevel::Pure { epsilon: 0.5 },
-                PrivacyLevel::Approx {
-                    epsilon: 0.5,
-                    delta: 1e-6,
-                },
-            ] {
-                let plan = PlanBuilder::marginals(w.clone(), strategy)
-                    .budgeting(budgeting)
-                    .privacy(privacy)
-                    .compile()
-                    .unwrap();
-                let session = Session::bind(&plan, &table).unwrap();
-                let new = session.release(4242).unwrap();
-
-                let legacy_planner = ReleasePlanner::new(&table, &w, strategy, budgeting).unwrap();
-                let mut rng = StdRng::seed_from_u64(4242);
-                let legacy = legacy_planner.release(privacy, &mut rng).unwrap();
-
-                assert_eq!(new.group_budgets, legacy.group_budgets);
-                assert_eq!(new.achieved_epsilon, legacy.achieved_epsilon);
-                assert_eq!(new.label, legacy.label);
-                let answers = new.answers.marginals().unwrap();
-                assert_eq!(answers.len(), legacy.answers.len());
-                for (a, b) in answers.iter().zip(&legacy.answers) {
-                    assert_eq!(a.mask(), b.mask());
-                    // Bit-for-bit: the plan/session path must draw the exact
-                    // same noise and recovery as the legacy one.
-                    assert_eq!(a.values(), b.values(), "{strategy:?}/{budgeting:?}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-#[allow(deprecated)] // compares against the legacy path on purpose
-fn session_releases_are_byte_identical_to_legacy_range_plan() {
-    let n = 64;
-    let w = RangeWorkload::all_prefixes(n).unwrap();
-    let h = hist(n);
-    for strategy in [
-        RangeStrategy::Identity,
-        RangeStrategy::Hierarchical,
-        RangeStrategy::Wavelet,
-        RangeStrategy::Sketch {
-            repetitions: 8,
-            buckets: 64,
-            seed: 7,
-        },
-    ] {
-        for optimal in [false, true] {
-            let budgeting = if optimal {
-                Budgeting::Optimal
-            } else {
-                Budgeting::Uniform
-            };
-            let plan = PlanBuilder::ranges(w.clone(), strategy)
-                .budgeting(budgeting)
-                .privacy(PrivacyLevel::Pure { epsilon: 0.8 })
-                .compile()
-                .unwrap();
-            let session = Session::bind_histogram(&plan, &h).unwrap();
-            let new = session.release(777).unwrap();
-
-            let legacy_plan =
-                dp_core::range::plan_range_release(&w, strategy, optimal, 0.8).unwrap();
-            let mut rng = StdRng::seed_from_u64(777);
-            let legacy = legacy_plan.release(&h, &mut rng).unwrap();
-
-            let answers = new.answers.ranges().unwrap();
-            assert_eq!(answers, &legacy[..], "{strategy:?}/{budgeting:?}");
-            // The matrix-free per-query variance predictions must agree
-            // with the legacy plan's dense-oracle ones.
-            for (a, b) in plan
-                .query_variances()
-                .iter()
-                .zip(&legacy_plan.query_variances)
-            {
-                assert!(
-                    (a - b).abs() < 1e-6 * b.max(1e-12),
-                    "{strategy:?}: {a} vs {b}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,108 +1,179 @@
 //! Oracle tests for the unified `StrategyOperator` planner: with a seeded
-//! RNG the operator-based release path must match the literal dense-matrix
+//! release the plan/session path must match the literal dense-matrix
 //! framework (`dp_core::framework`, explicit `Q`/`S`, Eq.-(7) GLS) applied
-//! to the *identical* noisy observations — for marginal and range
-//! workloads — and the fast Walsh–Hadamard transform must be an involution.
+//! to the *identical* noisy observations — for every marginal and range
+//! strategy, under both budgeting modes — and the fast Walsh–Hadamard
+//! transform must be an involution.
 //!
-//! These tests intentionally drive the **deprecated** single-shot entry
-//! points: they pin the legacy paths to the dense oracle, and the
-//! `plan_session` suite separately pins the new plan/session API
-//! byte-for-byte to the legacy paths.
-#![allow(deprecated)]
+//! The noisy observations are replayed from the release's seed through the
+//! engine's public perturbation contract ([`perturb_observations`]), so a
+//! release that drew any other noise fails the comparison.
 
 use datacube_dp::prelude::*;
-use dp_core::framework::gls_recovery;
-use dp_core::range::{plan_range_release, RangeStrategy, RangeWorkload};
-use dp_core::strategy::perturb_observations;
+use dp_core::fourier::CoefficientSpace;
+use dp_core::framework::{gls_recovery, output_variances};
+use dp_core::grouping::detect_grouping;
+use dp_core::range::strategy_matrix;
+use dp_core::strategy::{noise_variance, perturb_observations};
 use dp_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::iter::repeat_n;
 
 fn random_table(d: usize, seed: u64) -> ContingencyTable {
     let mut rng = StdRng::seed_from_u64(seed);
     ContingencyTable::from_counts((0..1usize << d).map(|_| rng.gen_range(0.0..9.0)).collect())
 }
 
-/// Replays the exact noisy observation vector a `Workload`-strategy release
-/// drew from `seed`, using the engine's public perturbation contract.
-fn replay_workload_noise(
-    table: &ContingencyTable,
+/// The explicit strategy matrix `S` of a compiled marginal plan and the
+/// group id of each of its rows, in the row order the engine noises.
+fn dense_marginal_strategy(
+    plan: &Plan,
     w: &Workload,
-    group_budgets: &[f64],
-    seed: u64,
-) -> Vec<f64> {
-    let exact: Vec<f64> = w
-        .true_answers(table)
-        .iter()
-        .flat_map(|m| m.values().to_vec())
-        .collect();
-    let mut row_groups = Vec::with_capacity(exact.len());
-    for (g, alpha) in w.marginals().iter().enumerate() {
-        row_groups.extend(std::iter::repeat_n(g as u32, alpha.cell_count()));
+    strategy: StrategyKind,
+) -> (Matrix, Vec<u32>) {
+    let d = w.domain_bits();
+    let n = 1usize << d;
+    let observed_marginals = |masks: &[AttrMask]| {
+        let s = Workload::new(d, masks.to_vec()).unwrap().query_matrix();
+        let groups = masks
+            .iter()
+            .enumerate()
+            .flat_map(|(g, m)| repeat_n(g as u32, m.cell_count()))
+            .collect();
+        (s, groups)
+    };
+    match strategy {
+        StrategyKind::Identity => (Matrix::identity(n), vec![0; n]),
+        StrategyKind::Workload => observed_marginals(w.marginals()),
+        StrategyKind::Cluster => observed_marginals(plan.clustering().unwrap().centroids()),
+        StrategyKind::Fourier => {
+            let space = CoefficientSpace::from_marginals(d, w.marginals());
+            let scale = 2f64.powf(-(d as f64) / 2.0);
+            let mut s = Matrix::zeros(space.len(), n);
+            for (i, &beta) in space.support().iter().enumerate() {
+                for col in 0..n {
+                    s[(i, col)] = beta.sign(AttrMask(col as u64)) * scale;
+                }
+            }
+            (s, (0..space.len() as u32).collect())
+        }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    perturb_observations(
-        &exact,
-        &row_groups,
-        group_budgets,
-        PrivacyLevel::Pure { epsilon: 1.0 },
-        &mut rng,
-    )
 }
 
-#[test]
-fn marginal_planner_matches_dense_gls_oracle_with_seeded_rng() {
-    // Release through the unified planner, then recompute the answers with
-    // the dense Eq.-(7) GLS applied to the identical noisy observations.
-    let d = 4;
-    let table = random_table(d, 1);
-    let w = Workload::new(
-        d,
-        vec![AttrMask(0b0011), AttrMask(0b0110), AttrMask(0b1001)],
-    )
-    .unwrap();
-    let seed = 20130402;
-    let privacy = PrivacyLevel::Pure { epsilon: 1.0 };
-
-    let planner =
-        ReleasePlanner::new(&table, &w, StrategyKind::Workload, Budgeting::Optimal).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let release = planner.release(privacy, &mut rng).unwrap();
-    let fast: Vec<f64> = release
-        .answers
-        .iter()
-        .flat_map(|m| m.values().to_vec())
-        .collect();
-
-    // Identical noisy z, replayed from the same seed and the returned
-    // budgets.
-    let noisy = replay_workload_noise(&table, &w, &release.group_budgets, seed);
-
-    // Dense oracle: S = Q is rank-deficient over the full domain, so
-    // augment with a huge-variance identity block (negligible influence).
-    let n = 1usize << d;
-    let q = w.query_matrix();
-    let mut rows: Vec<Vec<f64>> = (0..q.rows()).map(|i| q.row(i).to_vec()).collect();
+/// Dense Eq.-(7) GLS answers `Q (SᵀΣ⁻¹S)⁻¹ SᵀΣ⁻¹ z`. Marginal strategies
+/// are rank-deficient over the full domain, so `S` is augmented with a
+/// huge-variance identity block (negligible influence).
+fn dense_gls_answers(q: &Matrix, s: &Matrix, row_vars: &[f64], noisy: &[f64]) -> Vec<f64> {
+    let n = s.cols();
+    let mut rows: Vec<Vec<f64>> = (0..s.rows()).map(|i| s.row(i).to_vec()).collect();
     for i in 0..n {
         let mut r = vec![0.0; n];
         r[i] = 1.0;
         rows.push(r);
     }
     let s_aug = Matrix::from_rows(&rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>()).unwrap();
-    let mut vars_aug: Vec<f64> = Vec::new();
-    for (g, alpha) in w.marginals().iter().enumerate() {
-        let eta = release.group_budgets[g];
-        vars_aug.extend(std::iter::repeat_n(2.0 / (eta * eta), alpha.cell_count()));
-    }
-    vars_aug.extend(std::iter::repeat_n(1e9, n));
-    let r_gls = gls_recovery(&q, &s_aug, &vars_aug).unwrap();
-    let mut z_aug = noisy.clone();
-    z_aug.extend(std::iter::repeat_n(0.0, n));
-    let oracle = r_gls.matvec(&z_aug).unwrap();
+    let mut vars_aug = row_vars.to_vec();
+    vars_aug.extend(repeat_n(1e9, n));
+    let mut z_aug = noisy.to_vec();
+    z_aug.extend(repeat_n(0.0, n));
+    gls_recovery(q, &s_aug, &vars_aug)
+        .unwrap()
+        .matvec(&z_aug)
+        .unwrap()
+}
 
-    assert_eq!(fast.len(), oracle.len());
-    for (a, b) in fast.iter().zip(&oracle) {
-        assert!((a - b).abs() < 1e-3, "unified path {a} vs dense oracle {b}");
+#[test]
+fn marginal_planner_matches_dense_gls_oracle_with_seeded_rng() {
+    // Release through a compiled plan, then recompute the answers with the
+    // dense Eq.-(7) GLS applied to the identical noisy observations.
+    let schema = Schema::binary(6).unwrap();
+    let cases = [
+        (
+            random_table(4, 1),
+            Workload::new(
+                4,
+                vec![AttrMask(0b0011), AttrMask(0b0110), AttrMask(0b1001)],
+            )
+            .unwrap(),
+            20130402,
+        ),
+        (
+            random_table(6, 2),
+            Workload::all_k_way(&schema, 2).unwrap(),
+            4242,
+        ),
+    ];
+    for (table, w, seed) in &cases {
+        for strategy in [
+            StrategyKind::Identity,
+            StrategyKind::Workload,
+            StrategyKind::Fourier,
+            StrategyKind::Cluster,
+        ] {
+            for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+                for privacy in [
+                    PrivacyLevel::Pure { epsilon: 1.0 },
+                    PrivacyLevel::Approx {
+                        epsilon: 0.5,
+                        delta: 1e-6,
+                    },
+                ] {
+                    let plan = PlanBuilder::marginals(w.clone(), strategy)
+                        .budgeting(budgeting)
+                        .privacy(privacy)
+                        .compile()
+                        .unwrap();
+                    let release = Session::bind(&plan, table).unwrap().release(*seed).unwrap();
+                    let case = format!("{strategy:?}/{budgeting:?}/{privacy:?}");
+
+                    // The release draws at exactly the budgets the plan
+                    // published, and reports the plan's accounting.
+                    assert_eq!(
+                        release.group_budgets,
+                        plan.solution().group_budgets,
+                        "{case}"
+                    );
+                    assert_eq!(release.achieved_epsilon, plan.achieved_epsilon(), "{case}");
+                    let plus = if budgeting == Budgeting::Optimal {
+                        "+"
+                    } else {
+                        ""
+                    };
+                    assert_eq!(release.label, format!("{}{plus}", strategy.label()));
+                    let answers = release.answers.marginals().unwrap();
+                    let masks: Vec<AttrMask> = answers.iter().map(|m| m.mask()).collect();
+                    assert_eq!(masks, w.marginals(), "{case}");
+                    let fast: Vec<f64> = answers.iter().flat_map(|m| m.values().to_vec()).collect();
+
+                    // Identical noisy z, replayed from the same seed and
+                    // the returned budgets.
+                    let (s, row_groups) = dense_marginal_strategy(&plan, w, strategy);
+                    let exact = s.matvec(table.counts()).unwrap();
+                    let mut rng = StdRng::seed_from_u64(*seed);
+                    let noisy = perturb_observations(
+                        &exact,
+                        &row_groups,
+                        &release.group_budgets,
+                        privacy,
+                        &mut rng,
+                    );
+                    let row_vars: Vec<f64> = row_groups
+                        .iter()
+                        .map(|&g| noise_variance(privacy, release.group_budgets[g as usize]))
+                        .collect();
+                    let oracle = dense_gls_answers(&w.query_matrix(), &s, &row_vars, &noisy);
+
+                    assert_eq!(fast.len(), oracle.len());
+                    for (a, b) in fast.iter().zip(&oracle) {
+                        assert!(
+                            (a - b).abs() < 1e-3,
+                            "{case}: unified path {a} vs dense oracle {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -118,16 +189,20 @@ fn marginal_releases_are_bitwise_deterministic_per_seed() {
         StrategyKind::Fourier,
         StrategyKind::Cluster,
     ] {
-        let planner = ReleasePlanner::new(&table, &w, strategy, Budgeting::Optimal).unwrap();
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            planner
-                .release(PrivacyLevel::Pure { epsilon: 0.5 }, &mut rng)
-                .unwrap()
-        };
-        let a = run(99);
-        let b = run(99);
-        for (ma, mb) in a.answers.iter().zip(&b.answers) {
+        let plan = PlanBuilder::marginals(w.clone(), strategy)
+            .privacy(PrivacyLevel::Pure { epsilon: 0.5 })
+            .compile()
+            .unwrap();
+        let session = Session::bind(&plan, &table).unwrap();
+        let a = session.release(99).unwrap();
+        let b = session.release(99).unwrap();
+        for (ma, mb) in a
+            .answers
+            .marginals()
+            .unwrap()
+            .iter()
+            .zip(b.answers.marginals().unwrap())
+        {
             // Bit-for-bit: the parallel noise path must not depend on
             // scheduling.
             assert_eq!(ma.values(), mb.values(), "{strategy:?}");
@@ -139,48 +214,73 @@ fn marginal_releases_are_bitwise_deterministic_per_seed() {
 #[test]
 fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
     // The CG-based range recovery must match the dense GLS recovery matrix
-    // applied to the identical noisy observations.
-    let n = 32;
-    let w = RangeWorkload::all_prefixes(n).unwrap();
-    let hist: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64).collect();
-    for strategy in [
-        RangeStrategy::Identity,
-        RangeStrategy::Hierarchical,
-        RangeStrategy::Wavelet,
-    ] {
-        let plan = plan_range_release(&w, strategy, true, 1.0).unwrap();
-        let seed = 7_654_321;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let fast = plan.release(&hist, &mut rng).unwrap();
+    // applied to the identical noisy observations, and the matrix-free
+    // per-query variance predictions must match the dense ones.
+    let privacy = PrivacyLevel::Pure { epsilon: 0.8 };
+    for n in [32, 64] {
+        let w = RangeWorkload::all_prefixes(n).unwrap();
+        let hist: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64).collect();
+        for strategy in [
+            RangeStrategy::Identity,
+            RangeStrategy::Hierarchical,
+            RangeStrategy::Wavelet,
+            RangeStrategy::Sketch {
+                repetitions: 8,
+                buckets: 64,
+                seed: 7,
+            },
+        ] {
+            for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+                let plan = PlanBuilder::ranges(w.clone(), strategy)
+                    .budgeting(budgeting)
+                    .privacy(privacy)
+                    .compile()
+                    .unwrap();
+                let seed = 7_654_321;
+                let release = Session::bind_histogram(&plan, &hist)
+                    .unwrap()
+                    .release(seed)
+                    .unwrap();
+                assert_eq!(release.group_budgets, plan.solution().group_budgets);
+                let fast = release.answers.ranges().unwrap();
 
-        // Replay the identical noisy z: group budgets are the per-row
-        // budgets collapsed by the plan's grouping.
-        let z = plan.decomposition.s.matvec(&hist).unwrap();
-        let row_groups: Vec<u32> = plan
-            .grouping
-            .assignment()
-            .iter()
-            .map(|&g| g as u32)
-            .collect();
-        let mut group_budgets = vec![0.0; plan.grouping.num_groups()];
-        for (i, &g) in plan.grouping.assignment().iter().enumerate() {
-            group_budgets[g] = plan.row_budgets[i];
-        }
-        let mut replay_rng = StdRng::seed_from_u64(seed);
-        let noisy = perturb_observations(
-            &z,
-            &row_groups,
-            &group_budgets,
-            PrivacyLevel::Pure { epsilon: 1.0 },
-            &mut replay_rng,
-        );
+                // Replay the identical noisy z over the dense strategy
+                // matrix and its detected grouping.
+                let s = strategy_matrix(strategy, n);
+                let grouping = detect_grouping(&s).unwrap();
+                let row_groups: Vec<u32> =
+                    grouping.assignment().iter().map(|&g| g as u32).collect();
+                let z = s.matvec(&hist).unwrap();
+                let mut replay_rng = StdRng::seed_from_u64(seed);
+                let noisy = perturb_observations(
+                    &z,
+                    &row_groups,
+                    &release.group_budgets,
+                    privacy,
+                    &mut replay_rng,
+                );
+                let row_vars: Vec<f64> = grouping
+                    .assignment()
+                    .iter()
+                    .map(|&g| noise_variance(privacy, release.group_budgets[g]))
+                    .collect();
+                let r = gls_recovery(&w.query_matrix(), &s, &row_vars).unwrap();
 
-        let oracle = plan.decomposition.r.matvec(&noisy).unwrap();
-        for (a, b) in fast.iter().zip(&oracle) {
-            assert!(
-                (a - b).abs() < 1e-5,
-                "{strategy:?}: unified {a} vs dense oracle {b}"
-            );
+                let oracle = r.matvec(&noisy).unwrap();
+                for (a, b) in fast.iter().zip(&oracle) {
+                    assert!(
+                        (a - b).abs() < 1e-5,
+                        "{strategy:?}/{budgeting:?}: unified {a} vs dense oracle {b}"
+                    );
+                }
+                let dense_variances = output_variances(&r, &row_vars).unwrap();
+                for (a, b) in plan.query_variances().iter().zip(&dense_variances) {
+                    assert!(
+                        (a - b).abs() < 1e-6 * b.max(1e-12),
+                        "{strategy:?}: {a} vs {b}"
+                    );
+                }
+            }
         }
     }
 }
