@@ -61,7 +61,7 @@ fn main() {
     for _ in 1..k {
         plan = cache.get_or_compile(build()).expect("cache hit");
     }
-    let session = Session::bind(&plan, &table).expect("table matches");
+    let session = Session::bind(plan, &table).expect("table matches");
     let seeds: Vec<u64> = (0..k as u64).collect();
     let releases = session.release_batch(&seeds).expect("batch succeeds");
     let cached = BatchPoint {

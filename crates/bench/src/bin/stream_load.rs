@@ -8,10 +8,10 @@
 //! one at a time and the session must stay current (queryable at any
 //! moment), with one noisy release drawn per epoch of `Δ` updates (`Δ` is
 //! per family — see `main` for the rationale). The
-//! baseline arm is what today's API forces — apply the delta to the raw
-//! counts, then a full `bind()` (re-observe over the whole domain) per
-//! update; the streaming arm replaces each rebind with one
-//! `StreamingSession::ingest` (O(|strategy support|), closed-form marginal
+//! baseline arm is a full bind's work per update — apply the delta to the
+//! counts, then `Session::rebase` (re-observe over the whole domain); the
+//! streaming arm replaces each rebind with one
+//! `Session::ingest` (O(|strategy support|), closed-form marginal
 //! /Fourier columns, O(log n) Haar coefficients for ranges). Both arms
 //! draw identical releases from identical observations, so the headline
 //! speedup isolates exactly the update path the tentpole optimizes.
@@ -84,19 +84,6 @@ fn cell_stream(n: usize, mut state: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A fresh full bind of `counts` under the plan — the baseline update.
-fn bind_fresh(plan: &Arc<Plan>, counts: &[f64]) -> StreamingSession {
-    match plan.spec() {
-        WorkloadSpec::Marginals { .. } => StreamingSession::bind(
-            Arc::clone(plan),
-            &ContingencyTable::from_counts(counts.to_vec()),
-        )
-        .expect("bind over a fresh table"),
-        WorkloadSpec::Ranges { .. } => StreamingSession::bind_histogram(Arc::clone(plan), counts)
-            .expect("bind over a fresh histogram"),
-    }
-}
-
 /// Runs both arms of the continual-release loop for one plan.
 fn measure(
     family: &str,
@@ -105,32 +92,31 @@ fn measure(
     epochs: usize,
     updates: usize,
 ) -> StreamLoadPoint {
-    // Baseline arm: each record-level delta lands in the raw counts and
-    // the session is refreshed with a full bind so it stays queryable.
+    // Baseline arm: each record-level delta lands in the counts and the
+    // observations are recomputed over the whole domain (`rebase`, a
+    // fresh bind's observe) so the session stays queryable.
     let mut next = cell_stream(n, 7);
-    let mut counts = vec![0.0; n];
     let mut update_secs = 0.0;
     let rebind_start = Instant::now();
-    let mut session = bind_fresh(&plan, &counts);
+    let mut session = Session::empty(Arc::clone(&plan)).expect("empty session");
     for epoch in 0..epochs {
         let t0 = Instant::now();
         for _ in 0..updates {
-            counts[next() as usize] += 1.0;
-            session = bind_fresh(&plan, &counts);
+            session.ingest(next()).expect("ingest");
+            session.rebase().expect("full re-observe");
         }
         update_secs += t0.elapsed().as_secs_f64();
         std::hint::black_box(session.release(epoch as u64).expect("release"));
     }
     let rebind_seconds = rebind_start.elapsed().as_secs_f64();
     let rebind_update_us = update_secs / (epochs * updates) as f64 * 1e6;
-    let rebind_counts = counts;
 
     // Streaming arm: identical deltas, identical release seeds; every
     // rebind becomes one O(Δ) ingest.
     let mut next = cell_stream(n, 7);
     let mut update_secs = 0.0;
     let ingest_start = Instant::now();
-    let mut stream = StreamingSession::empty(Arc::clone(&plan)).expect("empty stream");
+    let mut stream = Session::empty(Arc::clone(&plan)).expect("empty stream");
     for epoch in 0..epochs {
         let t0 = Instant::now();
         for _ in 0..updates {
@@ -143,7 +129,7 @@ fn measure(
     let ingest_update_us = update_secs / (epochs * updates) as f64 * 1e6;
     assert_eq!(
         stream.counts(),
-        rebind_counts.as_slice(),
+        session.counts(),
         "both arms saw the same record stream"
     );
 

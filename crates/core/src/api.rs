@@ -16,7 +16,10 @@
 //!    serves releases: [`Session::release`] for one, or
 //!    [`Session::release_batch`] to fan a whole batch of seeds out with
 //!    rayon. Every release is deterministic in its seed, regardless of
-//!    batch size or thread count.
+//!    batch size or thread count. The same type takes record deltas in
+//!    O(|strategy column|) ([`Session::ingest`], sliding windows), and
+//!    holds its plan by reference (`Session<&Plan>`) or shares it
+//!    (`Session<Arc<Plan>>`, the default).
 //! 3. [`PlanCache`] memoizes compiled plans keyed by (schema fingerprint,
 //!    workload, strategy, budgeting, privacy, neighbouring), so a service
 //!    handling repeated requests performs the budget solve (and the cluster
@@ -46,7 +49,9 @@ use crate::marginal::MarginalTable;
 use crate::range::{CompiledRangeStrategy, RangeStrategy, RangeWorkload};
 use crate::release::{CompiledMarginalStrategy, Release, StrategyKind};
 use crate::schema::Schema;
-use crate::strategy::{mechanism_factor, noise_variance, Budgeting, StrategyOperator};
+use crate::strategy::{
+    mechanism_factor, noise_variance, Budgeting, EngineRelease, StrategyOperator,
+};
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::{
@@ -59,6 +64,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -663,6 +669,23 @@ impl Plan {
     pub(crate) fn compiled(&self) -> &Compiled {
         &self.compiled
     }
+
+    /// Labels an engine release of this plan as a [`SessionRelease`].
+    fn session_release<A>(
+        &self,
+        seed: u64,
+        out: EngineRelease<A>,
+        answers: fn(A) -> Answers,
+    ) -> SessionRelease {
+        SessionRelease {
+            seed,
+            answers: answers(out.answer),
+            group_budgets: out.group_budgets,
+            predicted_variance: out.predicted_variance,
+            achieved_epsilon: out.achieved_epsilon,
+            label: self.label(),
+        }
+    }
 }
 
 /// One release produced by a [`Session`]: the answers plus the privacy
@@ -742,32 +765,102 @@ impl SessionRelease {
     }
 }
 
-/// A plan bound to concrete data: the exact observations `z = S·x` are
-/// computed once at bind time, after which every release only draws noise
-/// and recovers — [`crate::strategy::ReleaseEngine::release_with_solution`]
-/// is pure given (observations, budgets, seed), so batches parallelize
-/// freely and reproduce bit-for-bit.
-pub struct Session<'p> {
-    plan: &'p Plan,
+/// A plan bound to data: the exact observations `z = S·x`, computed once
+/// at bind time, after which every release only draws noise and recovers.
+/// [`crate::strategy::ReleaseEngine::release_with_solution`] is pure given
+/// (observations, budgets, seed), so batches parallelize freely and
+/// reproduce bit-for-bit.
+///
+/// `P` is how the session holds its plan: `&Plan` for scoped use
+/// (`Session::bind(&plan, &table)`), or the default `Arc<Plan>` for a
+/// session that is stored, shared across threads or kept as a stream.
+/// Both release the same bytes per (plan, data, seed).
+///
+/// # Deltas
+///
+/// `z` is linear in the data vector `x` (the structural fact the whole
+/// paper builds on), so adding or removing one tuple at cell `j` shifts
+/// the observations by the sparse column `±S[·, j]`:
+///
+/// * marginal strategies: one entry per observed marginal (identity /
+///   workload / cluster) or `|support|` signed entries of magnitude
+///   `2^{−d/2}` (Fourier);
+/// * range strategies: one entry (identity), one per tree level
+///   (hierarchical), at most `2·log₂ n + 1` Haar coefficients (wavelet), or
+///   the nonzeros of the sketch column.
+///
+/// [`Session::ingest`] is therefore O(|column|) — never O(2^d) — where a
+/// fresh [`Session::bind`] re-aggregates the full domain. A bound session
+/// is a stream that has never ingested: it keeps a copy of its count
+/// vector, which backs the negative-count guard and [`Session::rebase`].
+/// [`Session::into_read_only`] drops that copy (and any window); a
+/// read-only session releases as before and refuses every edit with
+/// [`CoreError::ReadOnlySession`].
+///
+/// A **sliding window** ([`Session::with_window`]) keeps a ring of
+/// per-bucket delta logs: [`Session::advance`] closes the current bucket
+/// and retracts the expiring one, so the session always reflects the
+/// currently-filling bucket plus the last `buckets` completed buckets of
+/// the stream — never anything older.
+///
+/// Repeated float adds drift; [`Session::rebase`] re-observes from the
+/// maintained counts, restoring bitwise agreement with a fresh bind at
+/// O(domain) cost — amortize it over long edit scripts.
+///
+/// ```
+/// use dp_core::api::{PlanBuilder, Session};
+/// use dp_core::prelude::*;
+/// use std::sync::Arc;
+///
+/// let schema = Schema::binary(4).unwrap();
+/// let workload = Workload::all_k_way(&schema, 2).unwrap();
+/// let plan = Arc::new(
+///     PlanBuilder::marginals(workload, StrategyKind::Fourier)
+///         .compile()
+///         .unwrap(),
+/// );
+/// let mut stream = Session::empty(plan).unwrap();
+/// stream.ingest(3).unwrap(); // O(|support|), not O(2^d)
+/// stream.ingest(5).unwrap();
+/// stream.retract(3).unwrap();
+/// let release = stream.release(7).unwrap();
+/// assert_eq!(release.seed, 7);
+/// ```
+pub struct Session<P = Arc<Plan>> {
+    plan: P,
     observations: Vec<f64>,
+    /// The maintained data; `None` once the session is read-only.
+    data: Option<Maintained>,
 }
 
-impl<'p> Session<'p> {
+/// The editable part of a [`Session`].
+struct Maintained {
+    /// The data vector `x` (contingency counts or histogram).
+    counts: Vec<f64>,
+    window: Option<SlidingWindow>,
+}
+
+/// Ring of per-bucket delta logs for the sliding-window variant.
+struct SlidingWindow {
+    /// Oldest bucket first; the last entry is the bucket currently filling.
+    buckets: std::collections::VecDeque<Vec<(u64, f64)>>,
+    /// Number of buckets the window spans.
+    capacity: usize,
+}
+
+impl<P: Deref<Target = Plan>> Session<P> {
     /// Binds a **marginal** plan to a contingency table.
     ///
     /// Fails with [`CoreError::InvalidPlan`] for range plans (use
     /// [`Session::bind_histogram`]) and with a shape error when the table's
     /// domain does not match the workload's.
-    pub fn bind(plan: &'p Plan, table: &ContingencyTable) -> Result<Session<'p>, CoreError> {
-        match plan.compiled() {
-            Compiled::Marginals(c) => Ok(Session {
-                plan,
-                observations: c.observe(table)?,
-            }),
-            Compiled::Ranges(_) => Err(CoreError::InvalidPlan(
+    pub fn bind(plan: P, table: &ContingencyTable) -> Result<Self, CoreError> {
+        if matches!(plan.compiled(), Compiled::Ranges(_)) {
+            return Err(CoreError::InvalidPlan(
                 "range plans bind to histograms; use Session::bind_histogram",
-            )),
+            ));
         }
+        Session::from_counts(plan, table.counts().to_vec())
     }
 
     /// Binds a **range** plan to a histogram over its 1-D domain.
@@ -775,29 +868,182 @@ impl<'p> Session<'p> {
     /// Fails with [`CoreError::InvalidPlan`] for marginal plans (use
     /// [`Session::bind`]) and with a shape error when the histogram length
     /// does not match the domain.
-    pub fn bind_histogram(plan: &'p Plan, hist: &[f64]) -> Result<Session<'p>, CoreError> {
-        match plan.compiled() {
-            Compiled::Ranges(c) => Ok(Session {
-                plan,
-                observations: c.observe(hist)?,
-            }),
-            Compiled::Marginals(_) => Err(CoreError::InvalidPlan(
+    pub fn bind_histogram(plan: P, hist: &[f64]) -> Result<Self, CoreError> {
+        if matches!(plan.compiled(), Compiled::Marginals(_)) {
+            return Err(CoreError::InvalidPlan(
                 "marginal plans bind to contingency tables; use Session::bind",
-            )),
+            ));
         }
+        Session::from_counts(plan, hist.to_vec())
+    }
+
+    /// Starts a session over an **empty** dataset — the usual entry point
+    /// for a stream that begins from nothing.
+    pub fn empty(plan: P) -> Result<Self, CoreError> {
+        let n = match plan.spec() {
+            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
+            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
+        };
+        Session::from_counts(plan, vec![0.0; n])
+    }
+
+    fn from_counts(plan: P, counts: Vec<f64>) -> Result<Self, CoreError> {
+        let observations = observe_counts(&plan, &counts)?;
+        Ok(Session {
+            plan,
+            observations,
+            data: Some(Maintained {
+                counts,
+                window: None,
+            }),
+        })
+    }
+
+    /// Turns this session into a sliding-window session spanning `buckets`
+    /// buckets (e.g. 60 one-minute buckets for a one-hour window).
+    /// Subsequent ingests land in the current bucket; [`Session::advance`]
+    /// rotates the ring. A read-only session stays read-only.
+    pub fn with_window(mut self, buckets: usize) -> Self {
+        assert!(buckets > 0, "a sliding window needs at least one bucket");
+        if let Some(data) = &mut self.data {
+            let mut ring = std::collections::VecDeque::with_capacity(buckets + 1);
+            ring.push_back(Vec::new());
+            data.window = Some(SlidingWindow {
+                buckets: ring,
+                capacity: buckets,
+            });
+        }
+        self
+    }
+
+    /// Drops the maintained counts and window: the session keeps releasing
+    /// from its observations, and every edit fails with
+    /// [`CoreError::ReadOnlySession`]. A binding shared by many readers
+    /// needs no count vector.
+    pub fn into_read_only(self) -> Self {
+        Session { data: None, ..self }
     }
 
     /// The bound plan.
-    pub fn plan(&self) -> &'p Plan {
+    pub fn plan(&self) -> &P {
+        &self.plan
+    }
+
+    /// The observation vector `z = S·x` releases draw from.
+    pub fn observations(&self) -> &[f64] {
+        &self.observations
+    }
+
+    /// The maintained data vector `x`; `None` for a read-only session.
+    pub fn counts(&self) -> Option<&[f64]> {
+        self.data.as_ref().map(|data| data.counts.as_slice())
+    }
+
+    /// Inserts one tuple at linearized cell `cell`: `x_cell += 1`,
+    /// `z += S[·, cell]`.
+    pub fn ingest(&mut self, cell: u64) -> Result<(), CoreError> {
+        self.ingest_count(cell, 1.0)
+    }
+
+    /// Deletes one tuple at cell `cell`, refusing to drive its count
+    /// negative (retracting a tuple that was never inserted).
+    pub fn retract(&mut self, cell: u64) -> Result<(), CoreError> {
+        self.ingest_count(cell, -1.0)
+    }
+
+    /// Adds `delta` tuples at cell `cell` (negative `delta` retracts).
+    /// O(|S[·, cell]|). Refuses a cell outside the domain, a count that
+    /// would go negative or stop being finite, and any edit of a read-only
+    /// session. Errors leave the session unchanged.
+    pub fn ingest_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
+        let data = self.data.as_mut().ok_or(CoreError::ReadOnlySession)?;
+        let Some(&count) = usize::try_from(cell).ok().and_then(|i| data.counts.get(i)) else {
+            return Err(CoreError::Shape {
+                context: "streaming delta cell",
+                expected: data.counts.len(),
+                actual: cell as usize,
+            });
+        };
+        let next = count + delta;
+        if !next.is_finite() {
+            return Err(CoreError::NonFiniteCount { cell, delta });
+        }
+        if next < 0.0 {
+            return Err(CoreError::NegativeCount { cell, count: next });
+        }
         self.plan
+            .compiled()
+            .apply_delta(&mut self.observations, cell, delta)?;
+        data.counts[cell as usize] = next;
+        if let Some(w) = &mut data.window {
+            w.buckets
+                .back_mut()
+                .expect("window always has a current bucket")
+                .push((cell, delta));
+        }
+        Ok(())
+    }
+
+    /// Closes the current window bucket and opens a new one; once more than
+    /// `buckets` buckets exist, the oldest is expired — every delta it
+    /// logged is retracted, so the session thereafter reflects exactly the
+    /// surviving buckets. Errors unless this is a windowed session.
+    pub fn advance(&mut self) -> Result<(), CoreError> {
+        let data = self.data.as_mut().ok_or(CoreError::ReadOnlySession)?;
+        let w = data.window.as_mut().ok_or(CoreError::InvalidPlan(
+            "advance() needs a sliding window; build with Session::with_window",
+        ))?;
+        w.buckets.push_back(Vec::new());
+        if w.buckets.len() > w.capacity + 1 {
+            let expired = w.buckets.pop_front().expect("ring is non-empty");
+            for (cell, delta) in expired {
+                self.plan
+                    .compiled()
+                    .apply_delta(&mut self.observations, cell, -delta)?;
+                // Expiry retracts exactly what an earlier ingest logged, so
+                // any negativity is float round-off, not a logic error —
+                // clamp instead of failing mid-rotation.
+                let c = &mut data.counts[cell as usize];
+                *c = (*c - delta).max(0.0);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-observes `z = S·x` from the maintained counts, discarding the
+    /// accumulated float drift of the delta path: immediately after
+    /// `rebase()` the observations are **bitwise identical** to a fresh
+    /// [`Session::bind`] of the same data. O(domain) — call it every few
+    /// thousand edits, not per edit.
+    pub fn rebase(&mut self) -> Result<(), CoreError> {
+        let counts = &self.data.as_ref().ok_or(CoreError::ReadOnlySession)?.counts;
+        self.observations = observe_counts(&self.plan, counts)?;
+        Ok(())
     }
 
     /// Draws one release, deterministic in `seed`: the same (plan, data,
     /// seed) triple always reproduces the same bytes, regardless of thread
-    /// count or batch position. The budget solution solved at plan-compile
-    /// time is reused — no Step-2 solve happens here.
+    /// count, batch position or how the session holds its plan. The budget
+    /// solution solved at plan-compile time is reused — no Step-2 solve
+    /// happens here.
     pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(self.plan, &self.observations, seed)
+        let plan: &Plan = &self.plan;
+        let (z, privacy, solution) = (&self.observations, plan.privacy, &plan.solution);
+        let rng = &mut StdRng::seed_from_u64(seed);
+        Ok(match plan.compiled() {
+            Compiled::Marginals(c) => plan.session_release(
+                seed,
+                c.engine
+                    .release_with_solution(z, privacy, solution, plan.neighboring, rng)?,
+                Answers::Marginals,
+            ),
+            Compiled::Ranges(c) => plan.session_release(
+                seed,
+                c.engine
+                    .release_with_solution(z, privacy, solution, plan.neighboring, rng)?,
+                Answers::Ranges,
+            ),
+        })
     }
 
     /// Draws one release per seed, fanned out with rayon. Each release
@@ -814,354 +1060,29 @@ impl<'p> Session<'p> {
     /// An empty seed list returns `Ok(vec![])`: no noise is drawn and no
     /// budget is consumed (the service layer likewise charges nothing for
     /// an empty batch).
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
+    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError>
+    where
+        P: Sync,
+    {
         seeds.par_iter().map(|&s| self.release(s)).collect()
     }
 }
 
-/// The one release path shared by [`Session`] and [`OwnedSession`]: pure in
-/// (plan, observations, seed), so both session types are byte-identical per
-/// seed by construction.
-fn release_bound(
-    plan: &Plan,
-    observations: &[f64],
-    seed: u64,
-) -> Result<SessionRelease, CoreError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (answers, out_budgets, predicted, achieved) = match plan.compiled() {
-        Compiled::Marginals(c) => {
-            let out = c.engine.release_with_solution(
-                observations,
-                plan.privacy,
-                &plan.solution,
-                plan.neighboring,
-                &mut rng,
-            )?;
-            (
-                Answers::Marginals(out.answer),
-                out.group_budgets,
-                out.predicted_variance,
-                out.achieved_epsilon,
-            )
-        }
-        Compiled::Ranges(c) => {
-            let out = c.engine.release_with_solution(
-                observations,
-                plan.privacy,
-                &plan.solution,
-                plan.neighboring,
-                &mut rng,
-            )?;
-            (
-                Answers::Ranges(out.answer),
-                out.group_budgets,
-                out.predicted_variance,
-                out.achieved_epsilon,
-            )
-        }
-    };
-    Ok(SessionRelease {
-        seed,
-        answers,
-        group_budgets: out_budgets,
-        predicted_variance: predicted,
-        achieved_epsilon: achieved,
-        label: plan.label(),
-    })
-}
+/// The session type before plans were held generically, kept only because
+/// the benchmark crate `relbench/` still names it; deleted with the next
+/// change to the benchmark. Use [`Session`].
+pub type OwnedSession = Session;
 
-/// A [`Session`] that **owns** its plan through an [`Arc`] — the shape a
-/// long-lived service needs: bound sessions can be stored in registries and
-/// shared across worker threads without borrowing from a plan kept alive
-/// elsewhere. Releases go through the exact same internal path as
-/// [`Session`], so the two are byte-identical per (plan, data, seed).
-pub struct OwnedSession {
-    plan: Arc<Plan>,
-    observations: Vec<f64>,
-}
+/// The streaming session type before it merged into [`Session`], kept only
+/// because the benchmark crate `relbench/` still names it; deleted with the
+/// next change to the benchmark. Use [`Session`].
+pub type StreamingSession = Session;
 
-impl OwnedSession {
-    /// Binds a **marginal** plan to a contingency table (the owning
-    /// counterpart of [`Session::bind`]).
-    pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<OwnedSession, CoreError> {
-        match plan.compiled() {
-            Compiled::Marginals(c) => {
-                let observations = c.observe(table)?;
-                Ok(OwnedSession { plan, observations })
-            }
-            Compiled::Ranges(_) => Err(CoreError::InvalidPlan(
-                "range plans bind to histograms; use OwnedSession::bind_histogram",
-            )),
-        }
-    }
-
-    /// Binds a **range** plan to a histogram (the owning counterpart of
-    /// [`Session::bind_histogram`]).
-    pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<OwnedSession, CoreError> {
-        match plan.compiled() {
-            Compiled::Ranges(c) => {
-                let observations = c.observe(hist)?;
-                Ok(OwnedSession { plan, observations })
-            }
-            Compiled::Marginals(_) => Err(CoreError::InvalidPlan(
-                "marginal plans bind to contingency tables; use OwnedSession::bind",
-            )),
-        }
-    }
-
-    /// The bound plan.
-    pub fn plan(&self) -> &Arc<Plan> {
-        &self.plan
-    }
-
-    /// Draws one release; identical bytes to [`Session::release`] for the
-    /// same (plan, data, seed).
-    pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(&self.plan, &self.observations, seed)
-    }
-
-    /// Draws one release per seed, fanned out with rayon; element `i`
-    /// equals `self.release(seeds[i])`. An empty seed list returns
-    /// `Ok(vec![])` without drawing any noise.
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
-        seeds.par_iter().map(|&s| self.release(s)).collect()
-    }
-}
-
-/// A session that maintains its observation vector **incrementally** under
-/// record-level inserts and deletes — the streaming counterpart of
-/// [`OwnedSession`].
-///
-/// The release `z = S·x` is linear in the data vector `x` (the structural
-/// fact the whole paper builds on), so adding or removing one tuple at cell
-/// `j` shifts the observations by the sparse column `±S[·, j]`:
-///
-/// * marginal strategies: one entry per observed marginal (identity /
-///   workload / cluster) or `|support|` signed entries of magnitude
-///   `2^{−d/2}` (Fourier);
-/// * range strategies: one entry (identity), one per tree level
-///   (hierarchical), at most `2·log₂ n + 1` Haar coefficients (wavelet), or
-///   the nonzeros of the sketch column.
-///
-/// [`StreamingSession::ingest`] is therefore O(|column|) — never O(2^d) —
-/// where a fresh [`Session::bind`] re-aggregates the full domain. Releases
-/// go through the exact same pure path as [`Session`]/[`OwnedSession`], so
-/// a release from a streamed-to session is byte-identical to one from a
-/// session freshly bound to the same data (up to float accumulation; see
-/// [`StreamingSession::rebase`]).
-///
-/// A **sliding window** variant ([`StreamingSession::with_window`]) keeps a
-/// ring of per-bucket delta logs: [`StreamingSession::advance`] closes the
-/// current bucket and retracts the expiring one, so the session always
-/// reflects the currently-filling bucket plus the last `buckets` completed
-/// buckets of the stream — never anything older.
-///
-/// Repeated float adds drift; [`StreamingSession::rebase`] re-observes from
-/// the maintained count vector, restoring bitwise agreement with a fresh
-/// bind at O(domain) cost — amortize it over long edit scripts.
-///
-/// ```
-/// use dp_core::api::{PlanBuilder, StreamingSession};
-/// use dp_core::prelude::*;
-/// use std::sync::Arc;
-///
-/// let schema = Schema::binary(4).unwrap();
-/// let workload = Workload::all_k_way(&schema, 2).unwrap();
-/// let plan = Arc::new(
-///     PlanBuilder::marginals(workload, StrategyKind::Fourier)
-///         .compile()
-///         .unwrap(),
-/// );
-/// let mut stream = StreamingSession::empty(plan).unwrap();
-/// stream.ingest(3).unwrap(); // O(|support|), not O(2^d)
-/// stream.ingest(5).unwrap();
-/// stream.retract(3).unwrap();
-/// let release = stream.release(7).unwrap();
-/// assert_eq!(release.seed, 7);
-/// ```
-pub struct StreamingSession {
-    plan: Arc<Plan>,
-    observations: Vec<f64>,
-    /// The maintained data vector (contingency counts or histogram) —
-    /// backs [`StreamingSession::rebase`] and the negative-count guard.
-    counts: Vec<f64>,
-    window: Option<SlidingWindow>,
-}
-
-/// Ring of per-bucket delta logs for the sliding-window variant.
-struct SlidingWindow {
-    /// Oldest bucket first; the last entry is the bucket currently filling.
-    buckets: std::collections::VecDeque<Vec<(u64, f64)>>,
-    /// Number of buckets the window spans.
-    capacity: usize,
-}
-
-impl StreamingSession {
-    /// Starts a streaming session over an **empty** dataset — the usual
-    /// entry point for a stream that begins from nothing.
-    pub fn empty(plan: Arc<Plan>) -> Result<StreamingSession, CoreError> {
-        let n = match plan.spec() {
-            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
-            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
-        };
-        StreamingSession::from_counts(plan, vec![0.0; n])
-    }
-
-    /// Starts from an existing contingency table (marginal plans): one full
-    /// `observe`, after which updates are incremental.
-    pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<StreamingSession, CoreError> {
-        if matches!(plan.compiled(), Compiled::Ranges(_)) {
-            return Err(CoreError::InvalidPlan(
-                "range plans bind to histograms; use StreamingSession::bind_histogram",
-            ));
-        }
-        StreamingSession::from_counts(plan, table.counts().to_vec())
-    }
-
-    /// Starts from an existing histogram (range plans).
-    pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<StreamingSession, CoreError> {
-        if matches!(plan.compiled(), Compiled::Marginals(_)) {
-            return Err(CoreError::InvalidPlan(
-                "marginal plans bind to contingency tables; use StreamingSession::bind",
-            ));
-        }
-        StreamingSession::from_counts(plan, hist.to_vec())
-    }
-
-    fn from_counts(plan: Arc<Plan>, counts: Vec<f64>) -> Result<StreamingSession, CoreError> {
-        let observations = observe_counts(&plan, &counts)?;
-        Ok(StreamingSession {
-            plan,
-            observations,
-            counts,
-            window: None,
-        })
-    }
-
-    /// Converts this session into a sliding-window session spanning
-    /// `buckets` buckets (e.g. 60 one-minute buckets for a one-hour
-    /// window). Subsequent ingests land in the current bucket;
-    /// [`StreamingSession::advance`] rotates the ring.
-    pub fn with_window(mut self, buckets: usize) -> StreamingSession {
-        assert!(buckets > 0, "a sliding window needs at least one bucket");
-        let mut ring = std::collections::VecDeque::with_capacity(buckets + 1);
-        ring.push_back(Vec::new());
-        self.window = Some(SlidingWindow {
-            buckets: ring,
-            capacity: buckets,
-        });
-        self
-    }
-
-    /// The bound plan.
-    pub fn plan(&self) -> &Arc<Plan> {
-        &self.plan
-    }
-
-    /// The incrementally maintained observation vector `z = S·x` (exposed
-    /// for the delta-vs-full-observe equivalence tests).
-    pub fn observations(&self) -> &[f64] {
-        &self.observations
-    }
-
-    /// The maintained data vector `x`.
-    pub fn counts(&self) -> &[f64] {
-        &self.counts
-    }
-
-    /// Inserts one tuple at linearized cell `cell`: `x_cell += 1`,
-    /// `z += S[·, cell]`.
-    pub fn ingest(&mut self, cell: u64) -> Result<(), CoreError> {
-        self.ingest_count(cell, 1.0)
-    }
-
-    /// Deletes one tuple at cell `cell`, refusing to drive its count
-    /// negative (retracting a tuple that was never inserted).
-    pub fn retract(&mut self, cell: u64) -> Result<(), CoreError> {
-        self.ingest_count(cell, -1.0)
-    }
-
-    /// Adds `delta` tuples at cell `cell` (negative `delta` retracts).
-    /// O(|S[·, cell]|). Errors leave the session unchanged.
-    pub fn ingest_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
-        if cell >= self.counts.len() as u64 {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: self.counts.len(),
-                actual: cell as usize,
-            });
-        }
-        let next = self.counts[cell as usize] + delta;
-        if next < 0.0 {
-            return Err(CoreError::NegativeCount { cell, count: next });
-        }
-        self.plan
-            .compiled()
-            .apply_delta(&mut self.observations, cell, delta)?;
-        self.counts[cell as usize] = next;
-        if let Some(w) = &mut self.window {
-            w.buckets
-                .back_mut()
-                .expect("window always has a current bucket")
-                .push((cell, delta));
-        }
-        Ok(())
-    }
-
-    /// Closes the current window bucket and opens a new one; once more than
-    /// `buckets` buckets exist, the oldest is expired — every delta it
-    /// logged is retracted, so the session thereafter reflects exactly the
-    /// surviving buckets. Errors unless this is a windowed session.
-    pub fn advance(&mut self) -> Result<(), CoreError> {
-        let w = self.window.as_mut().ok_or(CoreError::InvalidPlan(
-            "advance() needs a sliding window; build with StreamingSession::with_window",
-        ))?;
-        w.buckets.push_back(Vec::new());
-        if w.buckets.len() > w.capacity + 1 {
-            let expired = w.buckets.pop_front().expect("ring is non-empty");
-            for (cell, delta) in expired {
-                self.plan
-                    .compiled()
-                    .apply_delta(&mut self.observations, cell, -delta)?;
-                // Expiry retracts exactly what an earlier ingest logged, so
-                // any negativity is float round-off, not a logic error —
-                // clamp instead of failing mid-rotation.
-                let c = &mut self.counts[cell as usize];
-                *c = (*c - delta).max(0.0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-observes `z = S·x` from the maintained counts, discarding the
-    /// accumulated float drift of the delta path: immediately after
-    /// `rebase()` the observations are **bitwise identical** to a fresh
-    /// [`Session::bind`] of the same data. O(domain) — call it every few
-    /// thousand edits, not per edit.
-    pub fn rebase(&mut self) -> Result<(), CoreError> {
-        self.observations = observe_counts(&self.plan, &self.counts)?;
-        Ok(())
-    }
-
-    /// Draws one release from the current observations; deterministic in
-    /// `seed` and byte-identical to [`Session::release`] over the same
-    /// (plan, data, seed) when the observations agree bitwise.
-    pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(&self.plan, &self.observations, seed)
-    }
-
-    /// Draws one release per seed (rayon fan-out); element `i` equals
-    /// `self.release(seeds[i])`. Empty seed list → `Ok(vec![])`.
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
-        seeds.par_iter().map(|&s| self.release(s)).collect()
-    }
-}
-
-/// Full observation of a raw count vector under either workload family —
-/// the bind/rebase path of [`StreamingSession`].
+/// Full observation `z = S·x` of a raw count vector under either workload
+/// family — the one observe path, for binds and rebases alike.
 fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
     match plan.compiled() {
-        Compiled::Marginals(c) => c.observe(&ContingencyTable::from_counts(counts.to_vec())),
+        Compiled::Marginals(c) => c.observe(counts),
         Compiled::Ranges(c) => c.observe(counts),
     }
 }
@@ -1371,19 +1292,21 @@ mod tests {
             Session::bind_histogram(&marginal_plan, &[0.0; 16]),
             Err(CoreError::InvalidPlan(_))
         ));
-        let range_plan = PlanBuilder::ranges(
-            RangeWorkload::all_prefixes(16).unwrap(),
-            RangeStrategy::Wavelet,
-        )
-        .compile()
-        .unwrap();
+        let range_plan = Arc::new(
+            PlanBuilder::ranges(
+                RangeWorkload::all_prefixes(16).unwrap(),
+                RangeStrategy::Wavelet,
+            )
+            .compile()
+            .unwrap(),
+        );
         assert!(matches!(
-            Session::bind(&range_plan, &small_table()),
+            Session::bind(Arc::clone(&range_plan), &small_table()),
             Err(CoreError::InvalidPlan(_))
         ));
         // Shape mismatches still surface as shape errors.
         assert!(matches!(
-            Session::bind_histogram(&range_plan, &[0.0; 8]),
+            Session::bind_histogram(range_plan, &[0.0; 8]),
             Err(CoreError::Shape { .. })
         ));
     }
@@ -1522,56 +1445,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_sessions_match_borrowed_sessions_byte_for_byte() {
-        let plan = Arc::new(
-            PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
-                .compile()
-                .unwrap(),
-        );
-        let table = small_table();
-        let borrowed = Session::bind(&plan, &table).unwrap();
-        let owned = OwnedSession::bind(Arc::clone(&plan), &table).unwrap();
-        for seed in [0u64, 1, 42, u64::MAX] {
-            let a = borrowed.release(seed).unwrap();
-            let b = owned.release(seed).unwrap();
-            for (ma, mb) in a
-                .answers
-                .marginals()
-                .unwrap()
-                .iter()
-                .zip(b.answers.marginals().unwrap())
-            {
-                assert_eq!(ma.values(), mb.values());
-            }
-            assert_eq!(a.group_budgets, b.group_budgets);
-        }
-        // Wrong-kind binds are rejected like the borrowed session's.
-        assert!(matches!(
-            OwnedSession::bind_histogram(plan, &[0.0; 16]),
-            Err(CoreError::InvalidPlan(_))
-        ));
-        let range_plan = Arc::new(
-            PlanBuilder::ranges(
-                RangeWorkload::all_prefixes(16).unwrap(),
-                RangeStrategy::Wavelet,
-            )
-            .compile()
-            .unwrap(),
-        );
-        assert!(matches!(
-            OwnedSession::bind(Arc::clone(&range_plan), &small_table()),
-            Err(CoreError::InvalidPlan(_))
-        ));
-        let hist: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let owned = OwnedSession::bind_histogram(range_plan, &hist).unwrap();
-        let batch = owned.release_batch(&[3, 4]).unwrap();
-        assert_eq!(
-            batch[0].answers.ranges().unwrap(),
-            owned.release(3).unwrap().answers.ranges().unwrap()
-        );
-    }
-
-    #[test]
     fn empty_seed_batches_release_nothing() {
         let plan = PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
             .compile()
@@ -1579,7 +1452,7 @@ mod tests {
         let table = small_table();
         let session = Session::bind(&plan, &table).unwrap();
         assert!(session.release_batch(&[]).unwrap().is_empty());
-        let owned = OwnedSession::bind(Arc::new(plan), &table).unwrap();
+        let owned = Session::bind(Arc::new(plan), &table).unwrap();
         assert!(owned.release_batch(&[]).unwrap().is_empty());
     }
 
@@ -1590,7 +1463,7 @@ mod tests {
                 .compile()
                 .unwrap(),
         );
-        let mut stream = StreamingSession::empty(Arc::clone(&plan)).unwrap();
+        let mut stream = Session::empty(Arc::clone(&plan)).unwrap();
         let cells = [3u64, 5, 5, 12, 0, 15];
         for &c in &cells {
             stream.ingest(c).unwrap();
@@ -1600,11 +1473,11 @@ mod tests {
         for &c in &[3u64, 5, 12, 0, 15] {
             table.add_count(c, 1.0).unwrap();
         }
-        let fresh = Session::bind(&plan, &table).unwrap();
+        let fresh = Session::bind(&*plan, &table).unwrap();
         // Observations agree to float accumulation; after rebase, bitwise.
         stream.rebase().unwrap();
         let direct = match plan.compiled() {
-            Compiled::Marginals(c) => c.observe(&table).unwrap(),
+            Compiled::Marginals(c) => c.observe(table.counts()).unwrap(),
             Compiled::Ranges(_) => unreachable!(),
         };
         assert_eq!(stream.observations(), direct.as_slice());
@@ -1623,13 +1496,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_guards_cell_range_and_negative_counts() {
+    fn streaming_guards_cell_range_and_non_negative_finite_counts() {
         let plan = Arc::new(
             PlanBuilder::marginals(workload2(), StrategyKind::Workload)
                 .compile()
                 .unwrap(),
         );
-        let mut stream = StreamingSession::empty(plan).unwrap();
+        let mut stream = Session::empty(plan).unwrap();
         assert!(matches!(stream.ingest(16), Err(CoreError::Shape { .. })));
         assert!(matches!(
             stream.retract(2),
@@ -1637,7 +1510,52 @@ mod tests {
         ));
         // Failed edits leave the session untouched.
         assert!(stream.observations().iter().all(|&z| z == 0.0));
+        // Non-finite deltas, and a finite one that overflows the count.
+        stream.ingest_count(4, f64::MAX).unwrap();
+        let counts = stream.counts().unwrap().to_vec();
+        let observations = stream.observations().to_vec();
+        for (cell, delta) in [
+            (2, f64::INFINITY),
+            (2, -f64::INFINITY),
+            (2, f64::NAN),
+            (4, 1e308),
+        ] {
+            assert!(matches!(
+                stream.ingest_count(cell, delta),
+                Err(CoreError::NonFiniteCount { cell: c, .. }) if c == cell
+            ));
+        }
+        assert_eq!(stream.counts(), Some(counts.as_slice()));
+        assert_eq!(stream.observations(), observations.as_slice());
         assert!(matches!(stream.advance(), Err(CoreError::InvalidPlan(_))));
+    }
+
+    #[test]
+    fn read_only_sessions_refuse_every_edit_and_release_as_before() {
+        let plan = PlanBuilder::ranges(
+            RangeWorkload::all_prefixes(16).unwrap(),
+            RangeStrategy::Hierarchical,
+        )
+        .compile()
+        .unwrap();
+        let hist: Vec<f64> = (0..16).map(|i| (i % 3) as f64).collect();
+        let full = Session::bind_histogram(&plan, &hist).unwrap();
+        assert_eq!(full.counts(), Some(hist.as_slice()));
+        let bound = Session::bind_histogram(&plan, &hist).unwrap();
+        // A window asked of a read-only session leaves it read-only.
+        let mut frozen = bound.with_window(2).into_read_only().with_window(1);
+        assert_eq!(frozen.counts(), None);
+        let read_only = |r: Result<(), CoreError>| matches!(r, Err(CoreError::ReadOnlySession));
+        assert!(read_only(frozen.ingest(1)));
+        assert!(read_only(frozen.retract(1)));
+        assert!(read_only(frozen.ingest_count(1, 2.0)));
+        assert!(read_only(frozen.advance()));
+        assert!(read_only(frozen.rebase()));
+        assert_eq!(frozen.observations(), full.observations());
+        assert_eq!(
+            frozen.release(8).unwrap().answers.ranges(),
+            full.release(8).unwrap().answers.ranges()
+        );
     }
 
     #[test]
@@ -1650,9 +1568,7 @@ mod tests {
             .compile()
             .unwrap(),
         );
-        let mut stream = StreamingSession::empty(Arc::clone(&plan))
-            .unwrap()
-            .with_window(2);
+        let mut stream = Session::empty(Arc::clone(&plan)).unwrap().with_window(2);
         // Bucket 0 (will expire), bucket 1 and 2 (survive).
         for c in [1u64, 2, 3] {
             stream.ingest(c).unwrap();
@@ -1668,8 +1584,8 @@ mod tests {
         for c in [4usize, 4, 9] {
             hist[c] += 1.0;
         }
-        assert_eq!(stream.counts(), hist.as_slice());
-        let direct = Session::bind_histogram(&plan, &hist).unwrap();
+        assert_eq!(stream.counts(), Some(hist.as_slice()));
+        let direct = Session::bind_histogram(&*plan, &hist).unwrap();
         let (a, b) = (stream.release(5).unwrap(), direct.release(5).unwrap());
         let (ra, rb) = (a.answers.ranges().unwrap(), b.answers.ranges().unwrap());
         for (x, y) in ra.iter().zip(rb) {

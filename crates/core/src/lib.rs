@@ -26,7 +26,11 @@
 //! ## Quick start
 //!
 //! Plans are **data-independent**: compile once, bind to data, release
-//! many (each release deterministic in its seed).
+//! many (each release deterministic in its seed). A [`Session`] is the one
+//! data-bound object: bind it to a table or histogram, stream record
+//! deltas into it, release from it. It holds its plan by reference
+//! (`Session<&Plan>`, as below) or shares it (`Session<Arc<Plan>>`, the
+//! default, for stored sessions and streams).
 //!
 //! ```
 //! use dp_core::prelude::*;
@@ -73,9 +77,11 @@ pub mod workload;
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
     pub use crate::api::{
-        Answers, OwnedSession, Plan, PlanBuilder, PlanCache, Session, SessionRelease,
-        StreamingSession, WorkloadSpec,
+        Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
     };
+    // The benchmark crate still names the pre-merge session types through
+    // the prelude; both aliases go with its next change.
+    pub use crate::api::{OwnedSession, StreamingSession};
     pub use crate::cluster::{CentroidSearch, ClusterConfig};
     pub use crate::marginal::MarginalTable;
     pub use crate::mask::AttrMask;
@@ -92,8 +98,7 @@ pub mod prelude {
 }
 
 pub use crate::api::{
-    Answers, OwnedSession, Plan, PlanBuilder, PlanCache, Session, SessionRelease, StreamingSession,
-    WorkloadSpec,
+    Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
 };
 pub use crate::cluster::{CentroidSearch, ClusterConfig};
 pub use crate::mask::AttrMask;
@@ -144,6 +149,17 @@ pub enum CoreError {
         /// The (negative) count the retraction would have produced.
         count: f64,
     },
+    /// A delta would make a count infinite or NaN (a non-finite delta, or
+    /// a finite one that overflows).
+    NonFiniteCount {
+        /// Linearized domain cell of the offending delta.
+        cell: u64,
+        /// The rejected delta.
+        delta: f64,
+    },
+    /// An edit (ingest, retract, advance, rebase) of a read-only
+    /// [`api::Session`], which keeps no count vector to edit.
+    ReadOnlySession,
 }
 
 impl std::fmt::Display for CoreError {
@@ -174,6 +190,13 @@ impl std::fmt::Display for CoreError {
                 f,
                 "retraction at cell {cell} would drive its count to {count} < 0"
             ),
+            CoreError::NonFiniteCount { cell, delta } => {
+                write!(
+                    f,
+                    "delta {delta} at cell {cell} would make its count non-finite"
+                )
+            }
+            CoreError::ReadOnlySession => write!(f, "the session is read-only"),
         }
     }
 }

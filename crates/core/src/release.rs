@@ -16,7 +16,7 @@ use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::strategy::{ReleaseEngine, StrategyOperator};
-use crate::table::ContingencyTable;
+use crate::table::marginals_of;
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
@@ -308,20 +308,19 @@ impl CompiledMarginalStrategy {
         })
     }
 
-    /// Computes the exact observation vector `z = S x` for a table — the
-    /// data-dependent step, run once per bound dataset.
-    pub(crate) fn observe(&self, table: &ContingencyTable) -> Result<Vec<f64>, CoreError> {
-        if table.dims() != self.d {
+    /// Computes the exact observation vector `z = S x` for a table's count
+    /// vector — the data-dependent step, run once per bound dataset.
+    pub(crate) fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
+        if counts.len() != 1usize << self.d {
             return Err(CoreError::Shape {
-                context: "planner domain bits",
-                expected: self.d,
-                actual: table.dims(),
+                context: "planner domain size",
+                expected: 1usize << self.d,
+                actual: counts.len(),
             });
         }
         match &self.observe {
-            ObserveKind::BaseCounts => Ok(table.counts().to_vec()),
-            ObserveKind::MarginalCells(observed) => Ok(table
-                .marginals(observed)
+            ObserveKind::BaseCounts => Ok(counts.to_vec()),
+            ObserveKind::MarginalCells(observed) => Ok(marginals_of(counts, self.d, observed)
                 .iter()
                 .flat_map(|m| m.values().iter().copied())
                 .collect()),
@@ -331,7 +330,7 @@ impl CompiledMarginalStrategy {
                 // WHT buffer across all marginals.
                 let mut coeffs = vec![0.0; space.len()];
                 let mut scratch = Vec::new();
-                for m in table.marginals(fill_from) {
+                for m in marginals_of(counts, self.d, fill_from) {
                     space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
                 }
                 Ok(coeffs)
@@ -486,6 +485,7 @@ fn marginals_strategy(
 mod tests {
     use super::*;
     use crate::api::{PlanBuilder, Session, SessionRelease};
+    use crate::table::ContingencyTable;
     use dp_mech::{Neighboring, PrivacyLevel};
 
     const ALL: [StrategyKind; 4] = [

@@ -86,7 +86,7 @@ impl ContingencyTable {
     }
 
     /// Inserts one record: `x_{enc(r)} += 1`. The table-side twin of
-    /// [`crate::api::StreamingSession::ingest`]; equivalent to rebuilding
+    /// [`crate::api::Session::ingest`]; equivalent to rebuilding
     /// with [`ContingencyTable::from_records`] on the extended multiset.
     pub fn add_record(&mut self, schema: &Schema, record: &[usize]) -> Result<u64, SchemaError> {
         let idx = schema.encode(record)?;
@@ -139,8 +139,7 @@ impl ContingencyTable {
     /// Computes several marginals (each via the folding pass), fanned out
     /// across cores — the hot path of exact-answer computation at plan time.
     pub fn marginals(&self, alphas: &[AttrMask]) -> Vec<MarginalTable> {
-        use rayon::prelude::*;
-        alphas.par_iter().map(|&a| self.marginal(a)).collect()
+        marginals_of(&self.counts, self.d, alphas)
     }
 
     /// The Fourier coefficient `⟨f^α, x⟩` of the table (O(N) direct sum;
@@ -148,6 +147,16 @@ impl ContingencyTable {
     pub fn fourier_coefficient(&self, alpha: AttrMask) -> f64 {
         dp_linalg::wht::fourier_coefficient(&self.counts, alpha.0 as usize)
     }
+}
+
+/// The marginals `alphas` of a raw count vector over `d` bits, fanned out
+/// across cores (see [`ContingencyTable::marginals`]).
+pub(crate) fn marginals_of(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
+    use rayon::prelude::*;
+    alphas
+        .par_iter()
+        .map(|&a| MarginalTable::new(a, marginalize(counts, d, a)))
+        .collect()
 }
 
 /// Marginalizes a raw count vector over `d` bits down to the cells of

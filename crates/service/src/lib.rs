@@ -10,11 +10,11 @@
 //!    [`dp_core::api::PlanCache`]. Plans are interned by fingerprint, so
 //!    K tenants asking for the same workload shape cost exactly one
 //!    strategy compile and one Step-2 budget solve.
-//! 2. **Pool** ([`pool::Pool`]) — everything a release draws from, each
-//!    entry with its owner: registered plans bound to a loaded
-//!    table/histogram (observations `z = S·x` computed once, shared
-//!    read-only by every tenant that registered the plan), and
-//!    tenant-owned streams that ingest record deltas. One release path,
+//! 2. **Pool** ([`pool::Pool`]) — everything a release draws from, one
+//!    [`dp_core::Session`] per entry with its owner: registered plans
+//!    bound to a loaded table/histogram (observations `z = S·x` computed
+//!    once, shared read-only by every tenant that registered the plan),
+//!    and tenant-owned streams that ingest record deltas. One release path,
 //!    [`service::DpService::release`], serves both.
 //! 3. **Budget accountant** ([`accountant::Accountant`]) — per-tenant
 //!    cumulative (ε, δ) metering via sequential composition

@@ -1,23 +1,29 @@
-//! Loaded datasets, and the one pool of bound sessions and streams.
+//! Loaded datasets, and the one pool of sessions releases draw from.
 //!
 //! A [`DataStore`] holds the named tables/histograms the operator loaded
-//! into the server. The [`Pool`] holds everything a release draws from,
-//! one [`Entry`] per [`Target`], and each entry records its owner:
+//! into the server. The [`Pool`] holds one [`Entry`] per [`Target`]: a
+//! [`Session`] behind a read-write lock, and the owner who may use it.
 //!
-//! * A **binding** ([`Entry::Binding`]) is a registered plan bound to one
-//!   dataset, with the observations `z = S·x` computed exactly once at bind
-//!   time. It is read-only and carries no tenant state (the observations
-//!   depend only on plan and data; all per-tenant state lives in the
-//!   accountant/registry), so every tenant that registered the plan shares
-//!   it. Session ids are deterministic (`"<plan_id>/<table>"`), so binding
-//!   is idempotent and the pool never grows with repeated binds.
-//! * A **stream** ([`Entry::Stream`]) is a tenant's mutable
-//!   [`StreamingSession`] a publisher pushes deltas into. Streams **must
-//!   not** be shared across tenants (one tenant's ingests would silently
-//!   change what another tenant releases), so stream ids embed the tenant
+//! * A **binding** (`bind`) is a registered plan bound to one dataset,
+//!   with the observations `z = S·x` computed exactly once. It is stored
+//!   read-only ([`Session::into_read_only`]): it keeps no count vector and
+//!   no tenant state (the observations depend only on plan and data; all
+//!   per-tenant state lives in the accountant/registry), so every tenant
+//!   that registered the plan shares it. Session ids are deterministic
+//!   (`"<plan_id>/<table>"`), so binding is idempotent and the pool never
+//!   grows with repeated binds.
+//! * A **stream** (`stream_open`) is a tenant's editable session a
+//!   publisher pushes deltas into. Streams **must not** be shared across
+//!   tenants (one tenant's ingests would silently change what another
+//!   tenant releases), so stream ids embed the tenant
 //!   (`"<tenant>/<plan_id>/<table>"`) and opening is idempotent *per
 //!   tenant*: reopening returns the live stream without resetting its
 //!   state, which is what lets a crashed publisher reconnect and resume.
+//!
+//! A release holds its entry's read lock ([`Entry::read`]) from the charge
+//! to the draw, and an ingest takes the write lock ([`Entry::write`]), so
+//! a stream release sees one consistent snapshot while ingests race, and
+//! releases from a shared binding never wait on each other.
 //!
 //! Entries are keyed by kind *and* id, so a session id never resolves to a
 //! stream even when the two strings coincide (a tenant named like a plan
@@ -26,12 +32,11 @@
 
 use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::ServiceError;
 use crate::registry::Registry;
-use dp_core::api::{OwnedSession, SessionRelease, StreamingSession};
-use dp_core::{ContingencyTable, CoreError, Plan};
+use dp_core::{ContingencyTable, Plan, Session};
 
 /// One loadable dataset: a full contingency table or a raw histogram.
 pub enum Dataset {
@@ -118,61 +123,30 @@ impl Target {
     }
 }
 
-/// One pool entry, recording who may use it.
-pub enum Entry {
-    /// A registered plan bound to a dataset: read-only, and shared by every
-    /// tenant that registered the plan.
-    Binding {
-        /// The bound plan's id; a tenant must have registered it.
-        plan_id: String,
-        /// The bound observations.
-        session: OwnedSession,
-    },
-    /// A tenant-owned mutable stream.
-    Stream {
-        /// The only tenant that may ingest into it or release from it.
-        tenant: String,
-        /// The stream, locked per ingest and per release.
-        session: Mutex<StreamingSession>,
-    },
+/// Who may use a pool entry.
+enum Owner {
+    /// A shared binding: every tenant that registered this plan id.
+    Plan(String),
+    /// A stream: this tenant only.
+    Tenant(String),
 }
 
-/// An entry's session, held for one release. A stream stays locked while
-/// held, so the release sees one consistent snapshot while ingests race.
-pub enum Held<'a> {
-    /// A shared binding.
-    Binding(&'a OwnedSession),
-    /// A locked stream.
-    Stream(MutexGuard<'a, StreamingSession>),
+/// One pool entry: a [`Session`] and who may use it.
+pub struct Entry {
+    owner: Owner,
+    session: RwLock<Session>,
 }
 
 impl Entry {
-    /// Holds the entry's session for one release.
-    pub fn hold(&self) -> Held<'_> {
-        match self {
-            Entry::Binding { session, .. } => Held::Binding(session),
-            Entry::Stream { session, .. } => {
-                Held::Stream(session.lock().expect("stream mutex poisoned"))
-            }
-        }
-    }
-}
-
-impl Held<'_> {
-    /// The plan the session releases.
-    pub fn plan(&self) -> &Plan {
-        match self {
-            Held::Binding(session) => session.plan(),
-            Held::Stream(session) => session.plan(),
-        }
+    /// The session, held for one release. A stream's ingests wait until
+    /// the guard drops, so the release sees one consistent snapshot.
+    pub fn read(&self) -> RwLockReadGuard<'_, Session> {
+        self.session.read().expect("session lock poisoned")
     }
 
-    /// One release per seed (see [`OwnedSession::release_batch`]).
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
-        match self {
-            Held::Binding(session) => session.release_batch(seeds),
-            Held::Stream(session) => session.release_batch(seeds),
-        }
+    /// The session, held for one edit.
+    pub fn write(&self) -> RwLockWriteGuard<'_, Session> {
+        self.session.write().expect("session lock poisoned")
     }
 }
 
@@ -196,14 +170,8 @@ impl Pool {
     ) -> Result<String, ServiceError> {
         let id = format!("{plan_id}/{table}");
         self.insert_once(Target::Session(id.clone()), || {
-            let session = match dataset {
-                Dataset::Table(t) => OwnedSession::bind(plan, t)?,
-                Dataset::Histogram(h) => OwnedSession::bind_histogram(plan, h)?,
-            };
-            Ok(Entry::Binding {
-                plan_id: plan_id.into(),
-                session,
-            })
+            let session = open_session(plan, Some(dataset))?.into_read_only();
+            Ok((Owner::Plan(plan_id.into()), session))
         })?;
         Ok(id)
     }
@@ -224,15 +192,7 @@ impl Pool {
     ) -> Result<String, ServiceError> {
         let id = format!("{tenant}/{plan_id}/{}", table.unwrap_or(""));
         self.insert_once(Target::Stream(id.clone()), || {
-            let session = match dataset {
-                None => StreamingSession::empty(plan)?,
-                Some(Dataset::Table(t)) => StreamingSession::bind(plan, t)?,
-                Some(Dataset::Histogram(h)) => StreamingSession::bind_histogram(plan, h)?,
-            };
-            Ok(Entry::Stream {
-                tenant: tenant.into(),
-                session: Mutex::new(session),
-            })
+            Ok((Owner::Tenant(tenant.into()), open_session(plan, dataset)?))
         })?;
         Ok(id)
     }
@@ -241,11 +201,15 @@ impl Pool {
     fn insert_once(
         &self,
         target: Target,
-        build: impl FnOnce() -> Result<Entry, ServiceError>,
+        build: impl FnOnce() -> Result<(Owner, Session), ServiceError>,
     ) -> Result<(), ServiceError> {
         let mut entries = self.entries.lock().expect("pool mutex poisoned");
         if let Slot::Vacant(slot) = entries.entry(target) {
-            slot.insert(Arc::new(build()?));
+            let (owner, session) = build()?;
+            slot.insert(Arc::new(Entry {
+                owner,
+                session: RwLock::new(session),
+            }));
         }
         Ok(())
     }
@@ -269,21 +233,30 @@ impl Pool {
             .get(target)
             .cloned()
             .ok_or_else(unknown)?;
-        match &*entry {
-            Entry::Binding { plan_id, .. } => {
+        match &entry.owner {
+            Owner::Plan(plan_id) => {
                 registry.lookup(tenant, plan_id)?;
             }
-            Entry::Stream { tenant: owner, .. } if owner != tenant => return Err(unknown()),
-            Entry::Stream { .. } => {}
+            Owner::Tenant(owner) if owner != tenant => return Err(unknown()),
+            Owner::Tenant(_) => {}
         }
         Ok(entry)
     }
 }
 
+/// A session over `dataset` (empty for `None`), editable.
+fn open_session(plan: Arc<Plan>, dataset: Option<&Dataset>) -> Result<Session, ServiceError> {
+    Ok(match dataset {
+        None => Session::empty(plan)?,
+        Some(Dataset::Table(t)) => Session::bind(plan, t)?,
+        Some(Dataset::Histogram(h)) => Session::bind_histogram(plan, h)?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::{PlanBuilder, Schema, StrategyKind, Workload};
+    use dp_core::{CoreError, PlanBuilder, Schema, StrategyKind, Workload};
 
     fn builder() -> PlanBuilder {
         let schema = Schema::binary(3).unwrap();
@@ -296,10 +269,11 @@ mod tests {
     }
 
     fn stream_counts(entry: &Entry) -> Vec<f64> {
-        let Held::Stream(session) = entry.hold() else {
-            panic!("not a stream");
-        };
-        session.counts().to_vec()
+        entry
+            .read()
+            .counts()
+            .expect("a stream keeps its counts")
+            .to_vec()
     }
 
     #[test]
@@ -331,13 +305,20 @@ mod tests {
             &entry,
             &pool.get("u", &target, &registry).unwrap()
         ));
-        let a = entry.hold().release_batch(&[7]).unwrap();
-        let b = entry.hold().release_batch(&[7]).unwrap();
+        let a = entry.read().release_batch(&[7]).unwrap();
+        let b = entry.read().release_batch(&[7]).unwrap();
         assert_eq!(
             crate::protocol::render_line(&crate::protocol::session_release_to_value(&a[0])),
             crate::protocol::render_line(&crate::protocol::session_release_to_value(&b[0])),
             "releases are seed-deterministic"
         );
+        // The shared binding is read-only: it keeps no count vector, and
+        // no tenant can edit what the others release from it.
+        assert_eq!(entry.read().counts(), None);
+        assert!(matches!(
+            entry.write().ingest(0),
+            Err(CoreError::ReadOnlySession)
+        ));
         // A tenant that never registered the plan gets nothing.
         assert!(matches!(
             pool.get("v", &target, &registry),
@@ -362,11 +343,7 @@ mod tests {
 
         // Push state in, then re-open: the ingests must survive.
         let entry = pool.get("acme", &target, &registry).unwrap();
-        let Held::Stream(mut session) = entry.hold() else {
-            panic!("not a stream");
-        };
-        session.ingest(5).unwrap();
-        drop(session);
+        entry.write().ingest(5).unwrap();
         let again = pool
             .open_stream("acme", "abc", None, Arc::clone(&plan), None)
             .unwrap();

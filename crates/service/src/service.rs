@@ -21,7 +21,7 @@ use crate::accountant::{Accountant, BudgetStatus, ReleaseAdmission};
 use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
-use crate::pool::{DataStore, Held, Pool, Target};
+use crate::pool::{DataStore, Pool, Target};
 use crate::protocol::{ok_response, privacy_to_value, session_release_to_value, Request};
 use crate::registry::Registry;
 use dp_core::api::SessionRelease;
@@ -221,7 +221,7 @@ impl DpService {
         if seeds.is_empty() {
             return Ok(Arc::new(release_response(&[], request_id)));
         }
-        let session = entry.hold();
+        let session = entry.read();
         let charge = compose_n(session.plan().privacy(), seeds.len());
         match request_id {
             None => self.accountant.try_debit(tenant, charge)?,
@@ -281,13 +281,11 @@ impl DpService {
         delta: f64,
     ) -> Result<(), ServiceError> {
         self.require_tenant(tenant)?;
-        let entry = self
-            .pool
-            .get(tenant, &Target::Stream(stream.into()), &self.registry)?;
-        let Held::Stream(mut session) = entry.hold() else {
-            unreachable!("stream targets resolve to streams");
-        };
-        session.ingest_count(cell, delta).map_err(Into::into)
+        self.pool
+            .get(tenant, &Target::Stream(stream.into()), &self.registry)?
+            .write()
+            .ingest_count(cell, delta)
+            .map_err(Into::into)
     }
 
     /// The tenant's current budget position.
@@ -455,7 +453,7 @@ impl DpService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::{ContingencyTable, Schema, StrategyKind, Workload};
+    use dp_core::{ContingencyTable, CoreError, Schema, StrategyKind, Workload};
 
     fn service_with_toy_table() -> DpService {
         let service = DpService::new(Accountant::in_memory());
@@ -741,6 +739,43 @@ mod tests {
         assert_eq!(again, id);
         let re_release = service.release("t", &streamed, &[42], None).unwrap();
         assert_eq!(render(&re_release), render(&after));
+    }
+
+    #[test]
+    fn a_non_finite_ingest_is_refused_and_leaves_the_stream_unchanged() {
+        let service = service_with_toy_table();
+        service
+            .open_tenant("t", PrivacyLevel::Pure { epsilon: 2.0 })
+            .unwrap();
+        let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
+        let id = service.stream_open("t", &plan_id, Some("toy")).unwrap();
+        let release = || {
+            let request = Request::ReleaseCurrent {
+                tenant: "t".into(),
+                stream: id.clone(),
+                seeds: vec![42],
+                request_id: None,
+            };
+            render(&service.handle(request, None).unwrap())
+        };
+        let before = release();
+        // `1e400` parses to +inf; the -inf after it would have made the
+        // count NaN, and every later release all-null.
+        for delta in ["1e400", "-1e400"] {
+            let line = format!(
+                r#"{{"op":"ingest","tenant":"t","stream":"{id}","cell":3,"delta":{delta}}}"#
+            );
+            let request = Request::from_value(&crate::protocol::parse_line(&line).unwrap());
+            assert!(matches!(
+                service.handle(request.unwrap(), None),
+                Err(ServiceError::Core(CoreError::NonFiniteCount {
+                    cell: 3,
+                    ..
+                }))
+            ));
+        }
+        assert_eq!(release(), before);
+        assert!(!before.contains("null"), "{before}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dp_core::api::{OwnedSession, WorkloadSpec};
+use dp_core::api::{Session, WorkloadSpec};
 use dp_core::{ContingencyTable, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
 use dp_service::protocol::{render_line, session_release_to_value};
@@ -69,7 +69,7 @@ fn served_releases_are_byte_identical_to_in_process_sessions() {
             .compile()
             .unwrap(),
     );
-    let local = OwnedSession::bind(plan, &toy_table()).unwrap();
+    let local = Session::bind(plan, &toy_table()).unwrap();
     for (wire, &seed) in served.iter().zip(&seeds) {
         let expected = render_line(&session_release_to_value(&local.release(seed).unwrap()));
         assert_eq!(

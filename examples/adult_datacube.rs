@@ -68,7 +68,7 @@ fn main() {
             } else {
                 3
             };
-            let session = Session::bind(&plan, &table).expect("table matches");
+            let session = Session::bind(plan, &table).expect("table matches");
             let seeds: Vec<u64> = (0..trials).map(|t| 7 + (eps * 10.0) as u64 + t).collect();
             let err: f64 = session
                 .release_batch(&seeds)

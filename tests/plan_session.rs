@@ -103,18 +103,49 @@ fn cached_plans_serve_byte_identical_releases() {
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.hits(), 1);
 
-    // A cached plan serves the same bytes as a freshly compiled one.
-    let fresh = build().compile().unwrap();
-    let from_cache = Session::bind(&first, &table).unwrap().release(11).unwrap();
-    let from_fresh = Session::bind(&fresh, &table).unwrap().release(11).unwrap();
-    for (a, b) in from_cache
-        .answers
-        .marginals()
-        .unwrap()
-        .iter()
-        .zip(from_fresh.answers.marginals().unwrap())
-    {
-        assert_eq!(a.values(), b.values());
+    // A cached plan serves the same bytes as a freshly compiled one, and a
+    // session sharing its plan (`Session<Arc<Plan>>`) the same bytes as
+    // one borrowing it (`Session<&Plan>`), single or batched.
+    let fresh_plan = build().compile().unwrap();
+    let fresh = Session::bind(&fresh_plan, &table).unwrap();
+    let shared = Session::bind(Arc::clone(&first), &table).unwrap();
+    let borrowed = Session::bind(&*first, &table).unwrap();
+    let seeds = [0u64, 11, 42, u64::MAX];
+    let batch = shared.release_batch(&seeds).unwrap();
+    let values = |r: &SessionRelease| -> Vec<Vec<f64>> {
+        let marginals = r.answers.marginals().unwrap();
+        marginals.iter().map(|m| m.values().to_vec()).collect()
+    };
+    for (&seed, batched) in seeds.iter().zip(batch) {
+        let expected = fresh.release(seed).unwrap();
+        for release in [
+            shared.release(seed).unwrap(),
+            borrowed.release(seed).unwrap(),
+            batched,
+        ] {
+            assert_eq!(values(&release), values(&expected));
+            assert_eq!(release.group_budgets, expected.group_budgets);
+        }
+    }
+
+    // Range plans too.
+    let rplan = cache
+        .get_or_compile(PlanBuilder::ranges(
+            RangeWorkload::all_prefixes(32).unwrap(),
+            RangeStrategy::Wavelet,
+        ))
+        .unwrap();
+    let h = hist(32);
+    let shared = Session::bind_histogram(Arc::clone(&rplan), &h).unwrap();
+    let borrowed = Session::bind_histogram(&*rplan, &h).unwrap();
+    let batch = shared.release_batch(&seeds).unwrap();
+    for (&seed, batched) in seeds.iter().zip(&batch) {
+        let expected = borrowed.release(seed).unwrap();
+        assert_eq!(
+            shared.release(seed).unwrap().answers.ranges().unwrap(),
+            expected.answers.ranges().unwrap()
+        );
+        assert_eq!(batched.answers.ranges(), expected.answers.ranges());
     }
 }
 

@@ -26,7 +26,7 @@ fn a_batch_over_a_cached_plan_performs_exactly_one_budget_solve() {
     for _ in 1..16 {
         plan = cache.get_or_compile(build()).unwrap();
     }
-    let session = Session::bind(&plan, &table).unwrap();
+    let session = Session::bind(plan, &table).unwrap();
     let seeds: Vec<u64> = (0..16).collect();
     let releases = session.release_batch(&seeds).unwrap();
     let after = dp_opt::budget::solve_count();

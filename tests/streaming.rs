@@ -1,4 +1,4 @@
-//! Property tests for [`StreamingSession`]: delta-maintained observations
+//! Property tests for [`Session`]'s deltas: delta-maintained observations
 //! must track a fresh `observe()` within float accumulation across random
 //! edit scripts for **every** strategy kind, match it bitwise immediately
 //! after `rebase()`, and the sliding window must equal binding the window's
@@ -47,30 +47,32 @@ fn range_plans() -> &'static Vec<Arc<Plan>> {
     })
 }
 
-/// Opens a streaming session over empty data for either workload family.
-fn open_empty(plan: &Arc<Plan>) -> StreamingSession {
-    StreamingSession::empty(Arc::clone(plan)).unwrap()
+/// Opens a session over empty data for either workload family.
+fn open_empty(plan: &Arc<Plan>) -> Session {
+    Session::empty(Arc::clone(plan)).unwrap()
 }
 
-/// A fresh full-observe of `counts` under the plan, via a brand-new
-/// session's bind path.
-fn fresh_observations(plan: &Arc<Plan>, counts: &[f64]) -> Vec<f64> {
-    let fresh = match plan.spec() {
-        WorkloadSpec::Marginals { .. } => StreamingSession::bind(
+/// A brand-new session bound to `counts` through the bind path of the
+/// plan's workload family.
+fn bind_fresh(plan: &Arc<Plan>, counts: &[f64]) -> Session {
+    match plan.spec() {
+        WorkloadSpec::Marginals { .. } => Session::bind(
             Arc::clone(plan),
             &ContingencyTable::from_counts(counts.to_vec()),
         )
         .unwrap(),
-        WorkloadSpec::Ranges { .. } => {
-            StreamingSession::bind_histogram(Arc::clone(plan), counts).unwrap()
-        }
-    };
-    fresh.observations().to_vec()
+        WorkloadSpec::Ranges { .. } => Session::bind_histogram(Arc::clone(plan), counts).unwrap(),
+    }
+}
+
+/// A fresh full-observe of `counts` under the plan.
+fn fresh_observations(plan: &Arc<Plan>, counts: &[f64]) -> Vec<f64> {
+    bind_fresh(plan, counts).observations().to_vec()
 }
 
 /// Applies a random edit script (ingest with occasional valid retracts) to
 /// the session and to a model count vector; the two must agree.
-fn apply_script(stream: &mut StreamingSession, model: &mut [f64], script: &[(u64, u64)]) {
+fn apply_script(stream: &mut Session, model: &mut [f64], script: &[(u64, u64)]) {
     for &(cell, op) in script {
         let cell = cell % N as u64;
         if op % 3 == 0 && model[cell as usize] > 0.0 {
@@ -104,7 +106,7 @@ proptest::proptest! {
             let mut stream = open_empty(plan);
             let mut model = vec![0.0; N];
             apply_script(&mut stream, &mut model, &script);
-            assert_eq!(stream.counts(), model.as_slice());
+            assert_eq!(stream.counts(), Some(model.as_slice()));
             let fresh = fresh_observations(plan, &model);
             assert_close(stream.observations(), &fresh, &plan.label());
             // rebase(): exact, bitwise agreement with the fresh bind.
@@ -143,7 +145,7 @@ proptest::proptest! {
             for &cell in live {
                 direct[cell as usize] += 1.0;
             }
-            assert_eq!(stream.counts(), direct.as_slice(), "{}", plan.label());
+            assert_eq!(stream.counts(), Some(direct.as_slice()), "{}", plan.label());
             let fresh = fresh_observations(plan, &direct);
             assert_close(stream.observations(), &fresh, &plan.label());
         }
@@ -161,16 +163,7 @@ fn rebased_stream_releases_are_byte_identical_to_direct_bind() {
         }
         stream.retract(3).unwrap();
         stream.rebase().unwrap();
-        let counts = stream.counts().to_vec();
-        let direct = match plan.spec() {
-            WorkloadSpec::Marginals { .. } => {
-                StreamingSession::bind(Arc::clone(plan), &ContingencyTable::from_counts(counts))
-                    .unwrap()
-            }
-            WorkloadSpec::Ranges { .. } => {
-                StreamingSession::bind_histogram(Arc::clone(plan), &counts).unwrap()
-            }
-        };
+        let direct = bind_fresh(plan, stream.counts().unwrap());
         for seed in [0u64, 9, 42] {
             let a = stream.release(seed).unwrap();
             let b = direct.release(seed).unwrap();
