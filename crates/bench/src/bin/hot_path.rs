@@ -1,7 +1,8 @@
 //! Release hot-path throughput gauge: cells-noised/sec for the fused
 //! perturbation pass versus a per-value reference, WHT effective bandwidth
-//! for the lane/blocked kernel versus a scalar reference, and end-to-end
-//! releases/sec through `Session::release_batch`.
+//! for the lane/blocked kernel versus a scalar reference, end-to-end
+//! releases/sec through `Session::release_batch`, and the cost of a
+//! hierarchical/wavelet range release relative to noising its rows.
 //!
 //! Every optimized/reference pair is also checked for **byte identity** on
 //! the measured inputs before timing, so this binary doubles as a
@@ -204,6 +205,77 @@ fn bench_noising(
     ratio
 }
 
+/// Times one H+ or W+ range release at `n` cells against the fused noising
+/// of the same observation rows at the plan's budgets; returns
+/// `release / noising` and appends rows. Recovery is a closed-form O(n)
+/// pass, so a release costs about two noisings; an iterative solver back
+/// on this path costs tens.
+fn bench_range_release(
+    strategy: RangeStrategy,
+    n: usize,
+    reps: usize,
+    rows: &mut Vec<HotPathRow>,
+) -> f64 {
+    let ranges: Vec<(usize, usize)> = (0..128)
+        .map(|k| {
+            let lo = (k * 7919) % n;
+            (lo, (lo + 1 + (k * 104_729) % (n / 4)).min(n))
+        })
+        .collect();
+    let workload = RangeWorkload::new(n, ranges).expect("range workload");
+    let plan = PlanBuilder::ranges(workload, strategy)
+        .compile()
+        .expect("range plan compiles");
+    let hist: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
+    let session = Session::bind_histogram(&plan, &hist).expect("histogram matches plan");
+    let observations = session.observations();
+    let tree = dp_linalg::HierarchicalOperator::new(n);
+    let row_groups: Vec<u32> = (0..observations.len())
+        .map(|i| match strategy {
+            RangeStrategy::Hierarchical => tree.row_level(i) as u32,
+            _ => dp_linalg::haar_level(i) as u32,
+        })
+        .collect();
+    let params = NoiseParams::compute(plan.privacy(), &plan.solution().group_budgets);
+
+    let mut seed = 0u64;
+    let t_release = time_best(reps, || {
+        seed += 1;
+        std::hint::black_box(session.release(seed).expect("range release"));
+    });
+    let (mut noisy, mut seeds) = (Vec::new(), Vec::new());
+    let t_noise = time_best(reps, || {
+        seed += 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        perturb_observations_into(
+            observations,
+            &row_groups,
+            &params,
+            &mut rng,
+            &mut noisy,
+            &mut seeds,
+        );
+        std::hint::black_box(&noisy);
+    });
+    let ratio = t_release / t_noise;
+    let label = strategy.label();
+    println!(
+        "{:>22}: release {:.2} ms, noising {} rows {:.2} ms, ratio {ratio:.2}×",
+        format!("{label}+ n = 2^{}", n.trailing_zeros()),
+        t_release * 1e3,
+        observations.len(),
+        t_noise * 1e3,
+    );
+    for (metric, value, unit) in [
+        ("release_ms", t_release * 1e3, "ms"),
+        ("noise_ms", t_noise * 1e3, "ms"),
+        ("release_over_noise", ratio, "x"),
+    ] {
+        rows.push(row("range", &format!("{label}_{metric}"), value, unit));
+    }
+    ratio
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -297,6 +369,15 @@ fn main() {
         "releases/s",
     ));
 
+    // ── 4. Range release vs noising its rows ───────────────────────────
+    let range_n = 1usize << 16;
+    println!("== range release (n = 2^16, 128 ranges, best of {reps}) ==");
+    let range_ratios: Vec<(RangeStrategy, f64)> =
+        [RangeStrategy::Hierarchical, RangeStrategy::Wavelet]
+            .into_iter()
+            .map(|s| (s, bench_range_release(s, range_n, reps, &mut rows)))
+            .collect();
+
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results file: {e}"),
@@ -322,8 +403,23 @@ fn main() {
         // at full size (2^22) on the recording machine; 1.05× leaves
         // headroom for run-to-run noise while still catching a lost
         // optimization.
+        //
+        // The range gate is a ratio ceiling: an H+/W+ release at 2^16 must
+        // cost at most 4× the fused noising of its own rows (~2× with the
+        // closed-form recovery, ~50× with conjugate gradients). A ratio
+        // rather than a time, so shared-runner jitter hits both sides.
         let wht_floor = 1.05;
+        let range_ceiling = 4.0;
         let mut failed = false;
+        for (strategy, ratio) in &range_ratios {
+            if *ratio > range_ceiling {
+                eprintln!(
+                    "CHECK FAILED: {}+ range release costs {ratio:.2}× its noising > {range_ceiling}×",
+                    strategy.label()
+                );
+                failed = true;
+            }
+        }
         if gaussian_ratio < 0.75 {
             eprintln!("CHECK FAILED: gaussian noising ratio {gaussian_ratio:.2}× < 0.75×");
             failed = true;

@@ -498,7 +498,12 @@ impl Plan {
                 },
             ) => c.predict_query_variances(workload, *strategy, &group_sigma2),
             (Compiled::Ranges(c), WorkloadSpec::Ranges { workload, strategy }) => {
-                if group_sigma2.iter().any(|v| !v.is_finite()) {
+                // The identity/tree/Haar recovery reads only the Haar levels
+                // each range needs and refuses a withheld one itself; the
+                // sketch's CG needs every row.
+                if matches!(strategy, RangeStrategy::Sketch { .. })
+                    && group_sigma2.iter().any(|v| !v.is_finite())
+                {
                     return Err(CoreError::Singular(
                         "a strategy row received zero budget; drop unused rows first",
                     ));

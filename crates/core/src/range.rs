@@ -17,9 +17,12 @@
 //! dense oracle's `n ≲ 4096`. The dense [`crate::framework`] path survives
 //! as the test oracle and as the sketch strategy's planner.
 //! Every release runs through the shared [`ReleaseEngine`] — observations
-//! `z = S·x` and the GLS recovery are matrix-free [`LinearOperator`]
-//! applications (tree sums, Haar transforms, CSR products) with conjugate
-//! gradients on the weighted normal equations.
+//! `z = S·x` are matrix-free [`LinearOperator`] applications (tree sums,
+//! Haar transforms, CSR products). Recovery reuses the planner's Haar
+//! diagonalization: for the identity, tree and Haar strategies each range's
+//! GLS answer is an exact `O(log n)` sum over the Haar coefficients of
+//! `Sᵀ W z̃`, so no iterative solver runs; only the sketch strategy solves
+//! its weighted normal equations by conjugate gradients.
 
 use crate::framework::{gls_recovery, output_variances, Decomposition};
 use crate::grouping::{detect_grouping, Grouping};
@@ -255,9 +258,12 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
 }
 
 /// The range strategies' [`StrategyOperator`]: observations through a
-/// matrix-free `S`, recovery by CG on the weighted normal equations,
-/// answers via the prefix-sum application of `Q`.
+/// matrix-free `S`. The identity, tree and Haar strategies recover in
+/// closed form through the Haar diagonalization of their normal matrices
+/// (see [`haar_diagonal_sum`]); the sketch recovers by CG on the weighted
+/// normal equations, then answers via the prefix-sum application of `Q`.
 pub(crate) struct RangeStrategyOp {
+    strategy: RangeStrategy,
     operator: Box<dyn LinearOperator + Send + Sync>,
     workload: RangeWorkload,
     specs: Vec<GroupSpec>,
@@ -280,14 +286,34 @@ impl StrategyOperator for RangeStrategyOp {
     }
 
     fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        let row_weights: Vec<f64> = self
-            .row_groups
-            .iter()
-            .map(|&g| group_weights[g as usize])
-            .collect();
-        let x_hat =
-            dp_linalg::gls_normal_solve(&self.operator, &row_weights, noisy, CgOptions::default())?;
-        self.workload.true_answers(&x_hat)
+        let row_weights = self.row_groups.iter().map(|&g| group_weights[g as usize]);
+        let n = self.workload.domain();
+        let Some(lam) = haar_eigenvalues(self.strategy, n, group_weights) else {
+            let row_weights: Vec<f64> = row_weights.collect();
+            let x_hat = dp_linalg::gls_normal_solve(
+                &self.operator,
+                &row_weights,
+                noisy,
+                CgOptions::default(),
+            )?;
+            return self.workload.true_answers(&x_hat);
+        };
+        let weighted: Vec<f64> = noisy.iter().zip(row_weights).map(|(v, w)| v * w).collect();
+        // y = H·Sᵀ(W ⊙ z̃): the Haar coefficients of the normal equations'
+        // right-hand side. The Haar strategy is its own basis (H·Hᵀ = I), so
+        // its y is W ⊙ z̃ as is.
+        let y = if self.strategy == RangeStrategy::Wavelet {
+            weighted
+        } else {
+            let mut y = self.operator.apply_transpose(&weighted);
+            dp_linalg::haar_forward(&mut y);
+            y
+        };
+        self.workload
+            .ranges()
+            .par_iter()
+            .map(|&(lo, hi)| haar_diagonal_sum(n, lo, hi, &lam, |i, c| c * y[i]))
+            .collect()
     }
 }
 
@@ -372,6 +398,46 @@ fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
                 .sum()
         })
         .collect()
+}
+
+/// The Haar-basis eigenvalues `λ` (one per Haar level) of the weighted
+/// normal matrix `SᵀWS = Hᵀ diag(λ) H` for per-group weights `w`: `w₀` at
+/// every level for the identity, [`tree_haar_eigenvalues`] for the tree,
+/// and `w` itself for the Haar strategy (its groups are the Haar levels).
+/// `None` for the sketch, which has no such diagonalization.
+fn haar_eigenvalues(strategy: RangeStrategy, n: usize, group_weights: &[f64]) -> Option<Vec<f64>> {
+    let levels = n.trailing_zeros() as usize;
+    match strategy {
+        RangeStrategy::Identity => Some(vec![group_weights[0]; levels + 1]),
+        RangeStrategy::Hierarchical => Some(tree_haar_eigenvalues(n, group_weights)),
+        RangeStrategy::Wavelet => Some(group_weights.to_vec()),
+        RangeStrategy::Sketch { .. } => None,
+    }
+}
+
+/// `Σ_i term(i, c_i) / λ_level(i)` over the nonzero Haar coefficients
+/// `(i, c_i)` of the indicator of `[lo, hi)`. With `term = c·y_i` this is
+/// the range's GLS answer `qᵀ(SᵀWS)⁺SᵀW z̃` (`y = H·SᵀW z̃`); with
+/// `term = c²` and `λ` from inverse noise variances, its variance
+/// `qᵀ(SᵀΣ⁻¹S)⁺q`. Only coefficients the range reads are touched, so
+/// withheld (zero-weight) levels are harmless unless the range needs one:
+/// then the system is singular for it and the sum is refused.
+fn haar_diagonal_sum(
+    n: usize,
+    lo: usize,
+    hi: usize,
+    lam: &[f64],
+    term: impl Fn(usize, f64) -> f64,
+) -> Result<f64, CoreError> {
+    haar_range_coeffs(n, lo, hi)
+        .into_iter()
+        .map(|(i, c)| match lam[dp_linalg::haar_level(i)] {
+            l if l > 0.0 => Ok(term(i, c) / l),
+            _ => Err(CoreError::Singular(
+                "a range reads a Haar level that received zero budget",
+            )),
+        })
+        .sum()
 }
 
 /// A piecewise-constant function on `[0, n)` with its prefix integral —
@@ -656,6 +722,7 @@ impl CompiledRangeStrategy {
             }
         };
         let engine = ReleaseEngine::new(RangeStrategyOp {
+            strategy,
             operator: strategy_operator(strategy, n),
             workload: workload.clone(),
             specs,
@@ -724,10 +791,11 @@ impl CompiledRangeStrategy {
     }
 
     /// Exact per-query output variances of the final GLS recovery, given
-    /// per-group noise variances (`group_sigma2[r]`, group order):
-    /// `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j`, in closed form through the Haar
-    /// diagonalization for the structured strategies and via the dense
-    /// oracle for sketches.
+    /// per-group noise variances (`group_sigma2[r]`, group order; `∞` for
+    /// a withheld group): `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j`, in closed form
+    /// through the Haar diagonalization for the structured strategies and
+    /// via the dense oracle for sketches. A structured-strategy query that
+    /// reads a withheld Haar level is [`CoreError::Singular`].
     pub(crate) fn predict_query_variances(
         &self,
         workload: &RangeWorkload,
@@ -735,37 +803,14 @@ impl CompiledRangeStrategy {
         group_sigma2: &[f64],
     ) -> Result<Vec<f64>, CoreError> {
         let n = workload.domain();
-        match strategy {
-            RangeStrategy::Identity => Ok(workload
-                .ranges()
-                .iter()
-                .map(|&(lo, hi)| (hi - lo) as f64 * group_sigma2[0])
-                .collect()),
-            RangeStrategy::Wavelet => Ok(workload
+        let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
+        match haar_eigenvalues(strategy, n, &weights) {
+            Some(lam) => workload
                 .ranges()
                 .par_iter()
-                .map(|&(lo, hi)| {
-                    haar_range_coeffs(n, lo, hi)
-                        .into_iter()
-                        .map(|(i, c)| c * c * group_sigma2[dp_linalg::haar_level(i)])
-                        .sum()
-                })
-                .collect()),
-            RangeStrategy::Hierarchical => {
-                let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
-                let lam = tree_haar_eigenvalues(n, &weights);
-                Ok(workload
-                    .ranges()
-                    .par_iter()
-                    .map(|&(lo, hi)| {
-                        haar_range_coeffs(n, lo, hi)
-                            .into_iter()
-                            .map(|(i, c)| c * c / lam[dp_linalg::haar_level(i)])
-                            .sum()
-                    })
-                    .collect())
-            }
-            RangeStrategy::Sketch { .. } => {
+                .map(|&(lo, hi)| haar_diagonal_sum(n, lo, hi, &lam, |_, c| c * c))
+                .collect(),
+            None => {
                 let row_variances: Vec<f64> = self
                     .grouping
                     .assignment()
@@ -785,7 +830,7 @@ impl CompiledRangeStrategy {
 mod tests {
     use super::*;
     use crate::api::{Plan, PlanBuilder, Session};
-    use crate::strategy::{noise_variance, Budgeting};
+    use crate::strategy::{noise_variance, perturb_observations, Budgeting};
     use dp_mech::{LaplaceMechanism, NoiseMechanism, PrivacyLevel};
 
     fn hist(n: usize) -> Vec<f64> {
@@ -928,29 +973,125 @@ mod tests {
 
     #[test]
     fn release_matches_dense_gls_recovery() {
-        // The CG recovery through the shared engine must match the dense
-        // R·z oracle on the same noisy observations. Drive both from the
-        // same seed: noise is added to z by the engine, so reproduce it by
-        // releasing a zero histogram (z = 0 ⇒ noisy = pure noise) — then
-        // compare against R applied to that noise. Instead of reaching into
-        // the engine, simply check release determinism + unbiased recovery
-        // of an exact (noise-free) plan via a huge ε.
-        let w = RangeWorkload::new(16, vec![(0, 5), (3, 11), (8, 16)]).unwrap();
-        let h = hist(16);
-        for strategy in [
-            RangeStrategy::Identity,
-            RangeStrategy::Hierarchical,
-            RangeStrategy::Wavelet,
-        ] {
-            let plan = compile(&w, strategy, Budgeting::Optimal, 1e9);
-            let y = release(&plan, &h, 5);
-            let exact = w.true_answers(&h).unwrap();
-            for (a, b) in y.iter().zip(&exact) {
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "{strategy:?}: ε→∞ release {a} vs exact {b}"
-                );
+        // The closed-form recovery through the shared engine must match the
+        // dense R·z̃ oracle on the identical noisy observations: replay the
+        // release's noise with `perturb_observations` from the same seed
+        // and apply the dense GLS recovery matrix to it.
+        for n in [16usize, 256] {
+            let w = RangeWorkload::new(
+                n,
+                vec![(0, 5), (3, 11), (8, n), (n / 2, n / 2 + 1), (1, n - 1)],
+            )
+            .unwrap();
+            let h = hist(n);
+            for strategy in [
+                RangeStrategy::Identity,
+                RangeStrategy::Hierarchical,
+                RangeStrategy::Wavelet,
+            ] {
+                for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+                    let plan = compile(&w, strategy, budgeting, 0.9);
+                    let seed = 5;
+                    let fast = release(&plan, &h, seed);
+                    let dec = dense_decomposition(&w, strategy, &plan);
+                    let row_groups: Vec<u32> = detect_grouping(&dec.s)
+                        .unwrap()
+                        .assignment()
+                        .iter()
+                        .map(|&g| g as u32)
+                        .collect();
+                    let noisy = perturb_observations(
+                        &dec.s.matvec(&h).unwrap(),
+                        &row_groups,
+                        &plan.solution().group_budgets,
+                        plan.privacy(),
+                        &mut StdRng::seed_from_u64(seed),
+                    );
+                    let oracle = dec.r.matvec(&noisy).unwrap();
+                    for (a, b) in fast.iter().zip(&oracle) {
+                        assert!(
+                            (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+                            "{strategy:?}/{budgeting:?} n={n}: release {a} vs dense oracle {b}"
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn zero_budget_levels_compile_and_release_for_structured_strategies() {
+        // Optimal budgets withhold every group no range reads (s = 0): W+
+        // on these workloads spends everything on Haar levels 0 (and 1).
+        // The closed-form recovery never touches a withheld level, so the
+        // plans compile, release finite answers, are exact as ε → ∞, and
+        // vary as predicted.
+        let n = 16;
+        let h = hist(n);
+        for ranges in [vec![(0, 16)], vec![(0, 8), (8, 16)]] {
+            let w = RangeWorkload::new(n, ranges).unwrap();
+            let exact = w.true_answers(&h).unwrap();
+            for strategy in [RangeStrategy::Wavelet, RangeStrategy::Hierarchical] {
+                let plan = compile(&w, strategy, Budgeting::Optimal, 1.0);
+                if strategy == RangeStrategy::Wavelet {
+                    assert!(plan.solution().group_budgets.contains(&0.0));
+                }
+                let trials = 4000u64;
+                let seeds: Vec<u64> = (0..trials).collect();
+                let session = Session::bind_histogram(&plan, &h).unwrap();
+                let mut sq_err = vec![0.0; exact.len()];
+                for r in session.release_batch(&seeds).unwrap() {
+                    for ((acc, a), e) in sq_err
+                        .iter_mut()
+                        .zip(r.answers.ranges().unwrap())
+                        .zip(&exact)
+                    {
+                        assert!(a.is_finite(), "{strategy:?}: non-finite answer");
+                        *acc += (a - e) * (a - e) / trials as f64;
+                    }
+                }
+                // Laplace's kurtosis is 6, so the relative standard error
+                // of a 4000-sample variance is ≈ √(5/4000) ≈ 3.5%.
+                for (j, (v, p)) in sq_err.iter().zip(plan.query_variances()).enumerate() {
+                    assert!(
+                        (v - p).abs() < 0.15 * p,
+                        "{strategy:?} query {j}: empirical variance {v} vs predicted {p}"
+                    );
+                }
+                let sharp = compile(&w, strategy, Budgeting::Optimal, 1e9);
+                for (a, b) in release(&sharp, &h, 3).iter().zip(&exact) {
+                    assert!((a - b).abs() < 1e-6, "{strategy:?}: ε→∞ {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_range_reading_a_withheld_level_is_singular_not_nan() {
+        // Defense in depth below the planner: if a range ever needs a Haar
+        // level whose weight is zero, recovery and variance prediction both
+        // refuse with a typed error instead of dividing by zero.
+        let n = 16;
+        let w = RangeWorkload::new(n, vec![(0, 8), (3, 5)]).unwrap();
+        for strategy in [RangeStrategy::Wavelet, RangeStrategy::Hierarchical] {
+            let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
+            let op = compiled.engine.strategy();
+            let groups = op.group_specs().len();
+            // Withhold the finest level: (3, 5) reads it under both
+            // strategies (the tree's finest Haar level sees only leaves).
+            let mut weights = vec![1.0; groups];
+            weights[groups - 1] = 0.0;
+            let noisy = vec![1.0; op.num_rows()];
+            assert!(matches!(
+                op.recover(&noisy, &weights),
+                Err(CoreError::Singular(_))
+            ));
+            let mut sigma2 = vec![1.0; groups];
+            sigma2[groups - 1] = f64::INFINITY;
+            assert!(matches!(
+                compiled.predict_query_variances(&w, strategy, &sigma2),
+                Err(CoreError::Singular(_))
+            ));
         }
     }
 

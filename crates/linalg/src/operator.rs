@@ -244,33 +244,16 @@ impl LinearOperator for HierarchicalOperator {
 
     fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
         // Column j of S has a 1 for every ancestor of leaf j: accumulate
-        // each node's value down to its leaves by pushing parent sums down.
-        let levels = self.levels();
-        let mut acc = vec![0.0; 1];
-        acc[0] = yin[0];
-        for level in 1..levels {
-            let width = 1usize << level;
+        // each node's value down to its leaves by pushing parent sums down,
+        // in place. Level `level` occupies `x[..2^level]`; walking `i`
+        // downward reads each parent `x[i / 2]` before it is overwritten.
+        x[0] = yin[0];
+        for level in 1..self.levels() {
             let off = Self::level_offset(level);
-            let mut next = vec![0.0; width];
-            for (i, n) in next.iter_mut().enumerate() {
-                *n = acc[i / 2] + yin[off + i];
-            }
-            acc = next;
-        }
-        x.copy_from_slice(&acc);
-    }
-
-    fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
-        // diag_j = Σ over the ancestors a(j) of weight w_a (entries are 1).
-        let levels = self.levels();
-        let mut diag = vec![0.0; self.n];
-        for (j, d) in diag.iter_mut().enumerate() {
-            for level in 0..levels {
-                let idx = Self::level_offset(level) + (j >> (levels - 1 - level));
-                *d += row_weights[idx];
+            for i in (0..1usize << level).rev() {
+                x[i] = x[i / 2] + yin[off + i];
             }
         }
-        Some(diag)
     }
 }
 
@@ -314,28 +297,6 @@ impl LinearOperator for HaarOperator {
         x.copy_from_slice(yin);
         haar_inverse(x);
     }
-
-    fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
-        // diag_j = Σ_i w_i W_ij²; column j has one entry per level, of
-        // squared magnitude 1/support(level) (see `haar_row_magnitude`).
-        let n = self.n;
-        let mut diag = vec![0.0; n];
-        for (i, &w) in row_weights.iter().enumerate() {
-            let mag = crate::wavelet::haar_row_magnitude(n, i);
-            let level = crate::wavelet::haar_level(i);
-            let support = if level == 0 { n } else { n >> (level - 1) };
-            // Row i covers `support` consecutive columns starting at:
-            let start = if level == 0 {
-                0
-            } else {
-                (i - (1 << (level - 1))) * support
-            };
-            for d in diag.iter_mut().skip(start).take(support) {
-                *d += w * mag * mag;
-            }
-        }
-        Some(diag)
-    }
 }
 
 /// The identity operator (the `S = I` strategy over a histogram domain).
@@ -360,10 +321,6 @@ impl LinearOperator for IdentityOperator {
 
     fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
         x.copy_from_slice(yin);
-    }
-
-    fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
-        Some(row_weights.to_vec())
     }
 }
 
@@ -534,6 +491,11 @@ mod tests {
         for (a, b) in bwd.iter().zip(&bwd_dense) {
             assert!((a - b).abs() < tol, "apply_transpose: {a} vs {b}");
         }
+        // The `_into` forms overwrite their output: stale contents (here
+        // NaN) must not leak into the result.
+        let mut dirty = vec![f64::NAN; op.cols()];
+        op.apply_transpose_into(&y, &mut dirty);
+        assert_eq!(dirty, bwd, "apply_transpose_into read its output buffer");
         // The preconditioner diagonal, when offered, must equal diag(SᵀWS).
         let weights: Vec<f64> = (0..op.rows()).map(|i| 0.5 + (i % 3) as f64).collect();
         if let Some(diag) = op.weighted_normal_diagonal(&weights) {

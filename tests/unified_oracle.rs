@@ -213,9 +213,11 @@ fn marginal_releases_are_bitwise_deterministic_per_seed() {
 
 #[test]
 fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
-    // The CG-based range recovery must match the dense GLS recovery matrix
-    // applied to the identical noisy observations, and the matrix-free
-    // per-query variance predictions must match the dense ones.
+    // The range recovery must match the dense GLS recovery matrix applied
+    // to the identical noisy observations — to 1e-9 relative for the
+    // closed-form identity/tree/Haar solve, to CG's tolerance for the
+    // sketch — and the matrix-free per-query variance predictions must
+    // match the dense ones.
     let privacy = PrivacyLevel::Pure { epsilon: 0.8 };
     for n in [32, 64] {
         let w = RangeWorkload::all_prefixes(n).unwrap();
@@ -267,9 +269,13 @@ fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
                 let r = gls_recovery(&w.query_matrix(), &s, &row_vars).unwrap();
 
                 let oracle = r.matvec(&noisy).unwrap();
+                let tol = |b: f64| match strategy {
+                    RangeStrategy::Sketch { .. } => 1e-5,
+                    _ => 1e-9 * b.abs().max(1.0),
+                };
                 for (a, b) in fast.iter().zip(&oracle) {
                     assert!(
-                        (a - b).abs() < 1e-5,
+                        (a - b).abs() <= tol(*b),
                         "{strategy:?}/{budgeting:?}: unified {a} vs dense oracle {b}"
                     );
                 }
