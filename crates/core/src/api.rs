@@ -46,11 +46,12 @@
 //! ```
 
 use crate::marginal::MarginalTable;
-use crate::range::{CompiledRangeStrategy, RangeStrategy, RangeWorkload};
-use crate::release::{CompiledMarginalStrategy, Release, StrategyKind};
+use crate::range::{RangeStrategy, RangeStrategyOp, RangeWorkload};
+use crate::release::{marginal_strategy, StrategyKind};
 use crate::schema::Schema;
 use crate::strategy::{
-    mechanism_factor, noise_variance, Budgeting, EngineRelease, StrategyOperator,
+    check_strategy, feasible_budgets_into, noise_and_recover, noise_variance, predicted_variance,
+    solve_budgets, Budgeting, SharedStrategy,
 };
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
@@ -59,7 +60,7 @@ use crate::{
     CoreError,
 };
 use dp_mech::{Neighboring, PrivacyLevel};
-use dp_opt::budget::{objective_value, BudgetSolution, GroupSpec};
+use dp_opt::budget::{objective_value, BudgetSolution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -128,6 +129,23 @@ impl WorkloadSpec {
         self
     }
 
+    /// Compiles the spec's strategy object (no data consulted) and checks
+    /// its internal consistency.
+    fn build_strategy(&self) -> Result<SharedStrategy, CoreError> {
+        let strategy: SharedStrategy = match self {
+            WorkloadSpec::Marginals {
+                workload,
+                strategy,
+                cluster,
+            } => marginal_strategy(workload, *strategy, *cluster)?,
+            WorkloadSpec::Ranges { workload, strategy } => {
+                Arc::new(RangeStrategyOp::build(workload, *strategy)?)
+            }
+        };
+        check_strategy(&*strategy)?;
+        Ok(strategy)
+    }
+
     /// Canonical `u64` encoding of the spec, the basis of plan-cache keys
     /// and [`Plan::fingerprint`].
     fn key_words(&self, out: &mut Vec<u64>) {
@@ -139,12 +157,7 @@ impl WorkloadSpec {
             } => {
                 out.push(1);
                 out.push(workload.domain_bits() as u64);
-                out.push(match strategy {
-                    StrategyKind::Identity => 0,
-                    StrategyKind::Workload => 1,
-                    StrategyKind::Fourier => 2,
-                    StrategyKind::Cluster => 3,
-                });
+                out.push(strategy.key_word());
                 // `cluster.parallel` is an execution hint — it provably
                 // never changes the clustering (deterministic min-reduce;
                 // see the invariance tests) — so it is excluded here:
@@ -302,81 +315,17 @@ impl PlanBuilder {
     /// Step-2 budgets, validates the achieved ε and predicts per-query
     /// variances. No data is consulted.
     pub fn compile(self) -> Result<Plan, CoreError> {
-        let compiled = Compiled::build(&self.spec)?;
-        let solution = compiled.solve_budgets(self.privacy, self.budgeting)?;
+        let strategy = self.spec.build_strategy()?;
+        let solution = solve_budgets(strategy.group_specs(), self.privacy, self.budgeting)?;
         Plan::finish(
             self.spec,
             self.budgeting,
             self.privacy,
             self.neighboring,
             self.schema_tag,
-            compiled,
+            strategy,
             solution,
         )
-    }
-}
-
-/// The compiled (non-serialized) half of a plan: the strategy operator and
-/// shared release engine for each workload family.
-pub(crate) enum Compiled {
-    /// A compiled marginal strategy.
-    Marginals(CompiledMarginalStrategy),
-    /// A compiled range strategy.
-    Ranges(CompiledRangeStrategy),
-}
-
-impl Compiled {
-    fn build(spec: &WorkloadSpec) -> Result<Compiled, CoreError> {
-        Ok(match spec {
-            WorkloadSpec::Marginals {
-                workload,
-                strategy,
-                cluster,
-            } => Compiled::Marginals(CompiledMarginalStrategy::build(
-                workload, *strategy, *cluster,
-            )?),
-            WorkloadSpec::Ranges { workload, strategy } => {
-                Compiled::Ranges(CompiledRangeStrategy::build(workload, *strategy)?)
-            }
-        })
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        match self {
-            Compiled::Marginals(c) => c.engine.strategy().group_specs(),
-            Compiled::Ranges(c) => c.engine.strategy().group_specs(),
-        }
-    }
-
-    fn num_groups(&self) -> usize {
-        self.group_specs().len()
-    }
-
-    fn solve_budgets(
-        &self,
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-    ) -> Result<BudgetSolution, CoreError> {
-        match self {
-            Compiled::Marginals(c) => c.engine.solve_budgets(privacy, budgeting),
-            Compiled::Ranges(c) => c.engine.solve_budgets(privacy, budgeting),
-        }
-    }
-
-    fn achieved_epsilon(&self, privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
-        match self {
-            Compiled::Marginals(c) => c.engine.achieved_epsilon(privacy, budgets),
-            Compiled::Ranges(c) => c.engine.achieved_epsilon(privacy, budgets),
-        }
-    }
-
-    /// Adds `delta` units at data cell `cell` to an observation vector:
-    /// `z += delta · S[·, cell]` through the strategy's sparse column.
-    fn apply_delta(&self, z: &mut [f64], cell: u64, delta: f64) -> Result<(), CoreError> {
-        match self {
-            Compiled::Marginals(c) => c.apply_delta(z, cell, delta),
-            Compiled::Ranges(c) => c.apply_delta(z, cell, delta),
-        }
     }
 }
 
@@ -395,9 +344,10 @@ pub struct Plan {
     achieved_epsilon: f64,
     predicted_variance: f64,
     query_variances: Vec<f64>,
-    /// Shared so [`Plan::resolved_at`] can re-solve at another privacy
-    /// level without recompiling the strategy.
-    compiled: Arc<Compiled>,
+    /// The strategy object every release runs through; shared so
+    /// [`Plan::resolved_at`] can re-solve at another privacy level without
+    /// recompiling it.
+    strategy: SharedStrategy,
 }
 
 impl std::fmt::Debug for Plan {
@@ -429,58 +379,28 @@ impl PartialEq for Plan {
 impl Plan {
     /// Finishes a plan from a compiled strategy and a budget solution:
     /// validates feasibility (Proposition 3.1) and derives the variance
-    /// predictions. Shared by [`PlanBuilder::compile`] and the serde
-    /// deserializer (which reuses a shipped solution instead of re-solving).
-    pub(crate) fn finish(
+    /// predictions. Shared by [`PlanBuilder::compile`], [`Plan::resolved_at`]
+    /// and the serde deserializer (which reuses a shipped solution instead
+    /// of re-solving).
+    fn finish(
         spec: WorkloadSpec,
         budgeting: Budgeting,
         privacy: PrivacyLevel,
         neighboring: Neighboring,
         schema_tag: u64,
-        compiled: Compiled,
-        solution: BudgetSolution,
-    ) -> Result<Plan, CoreError> {
-        Plan::finish_shared(
-            spec,
-            budgeting,
-            privacy,
-            neighboring,
-            schema_tag,
-            Arc::new(compiled),
-            solution,
-        )
-    }
-
-    /// [`Plan::finish`] over an already-shared compiled strategy (the
-    /// [`Plan::resolved_at`] path).
-    fn finish_shared(
-        spec: WorkloadSpec,
-        budgeting: Budgeting,
-        privacy: PrivacyLevel,
-        neighboring: Neighboring,
-        schema_tag: u64,
-        compiled: Arc<Compiled>,
+        strategy: SharedStrategy,
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
         privacy.validate()?;
-        if solution.group_budgets.len() != compiled.num_groups() {
-            return Err(CoreError::Shape {
-                context: "plan budget solution",
-                expected: compiled.num_groups(),
-                actual: solution.group_budgets.len(),
-            });
-        }
-        let factor = neighboring.sensitivity_factor();
-        let adjusted: Vec<f64> = solution.group_budgets.iter().map(|&e| e / factor).collect();
-        let achieved = compiled.achieved_epsilon(privacy, &adjusted) * factor;
-        if achieved > privacy.epsilon() * (1.0 + 1e-9) {
-            return Err(CoreError::InfeasibleBudgets {
-                achieved,
-                requested: privacy.epsilon(),
-            });
-        }
-        let predicted_variance = mechanism_factor(privacy) * solution.objective * factor * factor;
-        let group_sigma2: Vec<f64> = adjusted
+        let mut budgets = Vec::new();
+        let achieved = feasible_budgets_into(
+            strategy.group_specs(),
+            privacy,
+            &solution,
+            neighboring,
+            &mut budgets,
+        )?;
+        let group_sigma2: Vec<f64> = budgets
             .iter()
             .map(|&eta| {
                 if eta > 0.0 {
@@ -490,29 +410,9 @@ impl Plan {
                 }
             })
             .collect();
-        let query_variances = match (&*compiled, &spec) {
-            (
-                Compiled::Marginals(c),
-                WorkloadSpec::Marginals {
-                    workload, strategy, ..
-                },
-            ) => c.predict_query_variances(workload, *strategy, &group_sigma2),
-            (Compiled::Ranges(c), WorkloadSpec::Ranges { workload, strategy }) => {
-                // The identity/tree/Haar recovery reads only the Haar levels
-                // each range needs and refuses a withheld one itself; the
-                // sketch's CG needs every row.
-                if matches!(strategy, RangeStrategy::Sketch { .. })
-                    && group_sigma2.iter().any(|v| !v.is_finite())
-                {
-                    return Err(CoreError::Singular(
-                        "a strategy row received zero budget; drop unused rows first",
-                    ));
-                }
-                c.predict_query_variances(workload, *strategy, &group_sigma2)?
-            }
-            _ => unreachable!("Compiled::build pairs the variants"),
-        };
         Ok(Plan {
+            query_variances: strategy.query_variances(&group_sigma2)?,
+            predicted_variance: predicted_variance(privacy, &solution, neighboring),
             spec,
             budgeting,
             privacy,
@@ -520,9 +420,7 @@ impl Plan {
             schema_tag,
             solution,
             achieved_epsilon: achieved,
-            predicted_variance,
-            query_variances,
-            compiled,
+            strategy,
         })
     }
 
@@ -538,13 +436,13 @@ impl Plan {
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
         let spec = spec.normalized();
-        let compiled = Compiled::build(&spec)?;
+        let strategy = spec.build_strategy()?;
         // The shipped objective drives predicted_variance downstream, so a
         // tampered document must not smuggle optimistic accounting: it has
         // to equal `Σ_r s_r/η_r²` for the recompiled specs and shipped
         // budgets (up to rounding).
-        if solution.group_budgets.len() == compiled.num_groups() {
-            let expected = objective_value(compiled.group_specs(), &solution.group_budgets);
+        if solution.group_budgets.len() == strategy.group_specs().len() {
+            let expected = objective_value(strategy.group_specs(), &solution.group_budgets);
             if !solution.objective.is_finite()
                 || (solution.objective - expected).abs() > 1e-6 * expected.abs().max(1e-12)
             {
@@ -559,7 +457,7 @@ impl Plan {
             privacy,
             neighboring,
             schema_tag,
-            compiled,
+            strategy,
             solution,
         )
     }
@@ -573,15 +471,14 @@ impl Plan {
         privacy: PrivacyLevel,
         budgeting: Budgeting,
     ) -> Result<Plan, CoreError> {
-        let compiled = Arc::clone(&self.compiled);
-        let solution = compiled.solve_budgets(privacy, budgeting)?;
-        Plan::finish_shared(
+        let solution = solve_budgets(self.strategy.group_specs(), privacy, budgeting)?;
+        Plan::finish(
             self.spec.clone(),
             budgeting,
             privacy,
             self.neighboring,
             self.schema_tag,
-            compiled,
+            Arc::clone(&self.strategy),
             solution,
         )
     }
@@ -637,10 +534,7 @@ impl Plan {
     /// The greedy clustering, when the plan uses
     /// [`StrategyKind::Cluster`].
     pub fn clustering(&self) -> Option<&Clustering> {
-        match self.compiled() {
-            Compiled::Marginals(c) => c.clustering.as_ref(),
-            Compiled::Ranges(_) => None,
-        }
+        self.strategy.clustering()
     }
 
     /// Display label matching the paper's figure legends, e.g. `"F+"` for
@@ -669,27 +563,6 @@ impl Plan {
     /// The schema tag the plan was compiled with (0 when untagged).
     pub(crate) fn schema_tag(&self) -> u64 {
         self.schema_tag
-    }
-
-    pub(crate) fn compiled(&self) -> &Compiled {
-        &self.compiled
-    }
-
-    /// Labels an engine release of this plan as a [`SessionRelease`].
-    fn session_release<A>(
-        &self,
-        seed: u64,
-        out: EngineRelease<A>,
-        answers: fn(A) -> Answers,
-    ) -> SessionRelease {
-        SessionRelease {
-            seed,
-            answers: answers(out.answer),
-            group_budgets: out.group_budgets,
-            predicted_variance: out.predicted_variance,
-            achieved_epsilon: out.achieved_epsilon,
-            label: self.label(),
-        }
     }
 }
 
@@ -755,26 +628,10 @@ impl Answers {
     }
 }
 
-impl SessionRelease {
-    /// Bridges a marginal release to the legacy [`Release`] type (used by
-    /// the CLI's JSON serializer); `None` for range releases.
-    pub fn into_release(self) -> Option<Release> {
-        let answers = self.answers.into_marginals()?;
-        Some(Release {
-            answers,
-            group_budgets: self.group_budgets,
-            predicted_variance: self.predicted_variance,
-            achieved_epsilon: self.achieved_epsilon,
-            label: self.label,
-        })
-    }
-}
-
 /// A plan bound to data: the exact observations `z = S·x`, computed once
 /// at bind time, after which every release only draws noise and recovers.
-/// [`crate::strategy::ReleaseEngine::release_with_solution`] is pure given
-/// (observations, budgets, seed), so batches parallelize freely and
-/// reproduce bit-for-bit.
+/// A release is a pure function of (observations, budgets, seed), so
+/// batches parallelize freely and reproduce bit-for-bit.
 ///
 /// `P` is how the session holds its plan: `&Plan` for scoped use
 /// (`Session::bind(&plan, &table)`), or the default `Arc<Plan>` for a
@@ -860,7 +717,7 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// [`Session::bind_histogram`]) and with a shape error when the table's
     /// domain does not match the workload's.
     pub fn bind(plan: P, table: &ContingencyTable) -> Result<Self, CoreError> {
-        if matches!(plan.compiled(), Compiled::Ranges(_)) {
+        if matches!(plan.spec, WorkloadSpec::Ranges { .. }) {
             return Err(CoreError::InvalidPlan(
                 "range plans bind to histograms; use Session::bind_histogram",
             ));
@@ -874,7 +731,7 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// [`Session::bind`]) and with a shape error when the histogram length
     /// does not match the domain.
     pub fn bind_histogram(plan: P, hist: &[f64]) -> Result<Self, CoreError> {
-        if matches!(plan.compiled(), Compiled::Marginals(_)) {
+        if matches!(plan.spec, WorkloadSpec::Marginals { .. }) {
             return Err(CoreError::InvalidPlan(
                 "marginal plans bind to contingency tables; use Session::bind",
             ));
@@ -885,15 +742,20 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// Starts a session over an **empty** dataset — the usual entry point
     /// for a stream that begins from nothing.
     pub fn empty(plan: P) -> Result<Self, CoreError> {
-        let n = match plan.spec() {
-            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
-            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
-        };
+        let n = plan.strategy.domain();
         Session::from_counts(plan, vec![0.0; n])
     }
 
     fn from_counts(plan: P, counts: Vec<f64>) -> Result<Self, CoreError> {
-        let observations = observe_counts(&plan, &counts)?;
+        let domain = plan.strategy.domain();
+        if counts.len() != domain {
+            return Err(CoreError::Shape {
+                context: "session data domain",
+                expected: domain,
+                actual: counts.len(),
+            });
+        }
+        let observations = plan.strategy.observe(&counts)?;
         Ok(Session {
             plan,
             observations,
@@ -977,8 +839,8 @@ impl<P: Deref<Target = Plan>> Session<P> {
             return Err(CoreError::NegativeCount { cell, count: next });
         }
         self.plan
-            .compiled()
-            .apply_delta(&mut self.observations, cell, delta)?;
+            .strategy
+            .add_column(&mut self.observations, cell as usize, delta);
         data.counts[cell as usize] = next;
         if let Some(w) = &mut data.window {
             w.buckets
@@ -1003,8 +865,8 @@ impl<P: Deref<Target = Plan>> Session<P> {
             let expired = w.buckets.pop_front().expect("ring is non-empty");
             for (cell, delta) in expired {
                 self.plan
-                    .compiled()
-                    .apply_delta(&mut self.observations, cell, -delta)?;
+                    .strategy
+                    .add_column(&mut self.observations, cell as usize, -delta);
                 // Expiry retracts exactly what an earlier ingest logged, so
                 // any negativity is float round-off, not a logic error —
                 // clamp instead of failing mid-rotation.
@@ -1022,7 +884,7 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// thousand edits, not per edit.
     pub fn rebase(&mut self) -> Result<(), CoreError> {
         let counts = &self.data.as_ref().ok_or(CoreError::ReadOnlySession)?.counts;
-        self.observations = observe_counts(&self.plan, counts)?;
+        self.observations = self.plan.strategy.observe(counts)?;
         Ok(())
     }
 
@@ -1033,21 +895,21 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// happens here.
     pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
         let plan: &Plan = &self.plan;
-        let (z, privacy, solution) = (&self.observations, plan.privacy, &plan.solution);
-        let rng = &mut StdRng::seed_from_u64(seed);
-        Ok(match plan.compiled() {
-            Compiled::Marginals(c) => plan.session_release(
-                seed,
-                c.engine
-                    .release_with_solution(z, privacy, solution, plan.neighboring, rng)?,
-                Answers::Marginals,
-            ),
-            Compiled::Ranges(c) => plan.session_release(
-                seed,
-                c.engine
-                    .release_with_solution(z, privacy, solution, plan.neighboring, rng)?,
-                Answers::Ranges,
-            ),
+        let (answers, group_budgets) = noise_and_recover(
+            &*plan.strategy,
+            &self.observations,
+            plan.privacy,
+            &plan.solution,
+            plan.neighboring,
+            &mut StdRng::seed_from_u64(seed),
+        )?;
+        Ok(SessionRelease {
+            seed,
+            answers,
+            group_budgets,
+            predicted_variance: plan.predicted_variance,
+            achieved_epsilon: plan.achieved_epsilon,
+            label: plan.label(),
         })
     }
 
@@ -1056,9 +918,9 @@ impl<P: Deref<Target = Plan>> Session<P> {
     /// list — independent of batch size, ordering of other seeds, and
     /// thread count — and element `i` equals `self.release(seeds[i])`.
     ///
-    /// The engine checks its per-release working buffers (noisy
-    /// observations, substream seeds, budgets, weights, noise parameters)
-    /// out of a shared scratch pool, so a batch of K releases allocates
+    /// Each release checks its working buffers (noisy observations,
+    /// substream seeds, budgets, weights, noise parameters) out of a shared
+    /// scratch pool, so a batch of K releases allocates
     /// O(workers) scratch arenas rather than O(K) — only the returned
     /// answers themselves are freshly allocated.
     ///
@@ -1082,15 +944,6 @@ pub type OwnedSession = Session;
 /// because the benchmark crate `relbench/` still names it; deleted with the
 /// next change to the benchmark. Use [`Session`].
 pub type StreamingSession = Session;
-
-/// Full observation `z = S·x` of a raw count vector under either workload
-/// family — the one observe path, for binds and rebases alike.
-fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
-    match plan.compiled() {
-        Compiled::Marginals(c) => c.observe(counts),
-        Compiled::Ranges(c) => c.observe(counts),
-    }
-}
 
 /// Canonical cache key: the `u64` encoding of (schema tag, spec,
 /// budgeting, privacy, neighbouring).
@@ -1446,7 +1299,7 @@ mod tests {
             assert_eq!(x.values(), y.values());
         }
         // The compiled operator really is shared, not rebuilt.
-        assert!(Arc::ptr_eq(&base.compiled, &resolved.compiled));
+        assert!(Arc::ptr_eq(&base.strategy, &resolved.strategy));
     }
 
     #[test]
@@ -1481,10 +1334,7 @@ mod tests {
         let fresh = Session::bind(&*plan, &table).unwrap();
         // Observations agree to float accumulation; after rebase, bitwise.
         stream.rebase().unwrap();
-        let direct = match plan.compiled() {
-            Compiled::Marginals(c) => c.observe(table.counts()).unwrap(),
-            Compiled::Ranges(_) => unreachable!(),
-        };
+        let direct = plan.strategy.observe(table.counts()).unwrap();
         assert_eq!(stream.observations(), direct.as_slice());
         // ...and the releases are byte-identical.
         let a = stream.release(9).unwrap();

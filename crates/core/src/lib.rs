@@ -53,6 +53,13 @@
 //! let releases = session.release_batch(&[7, 8, 9]).unwrap();
 //! assert_eq!(releases[0].answers.marginals().unwrap().len(), workload.len());
 //! ```
+//!
+//! A plan holds one compiled strategy object — the strategy's group
+//! structure, observations, recovery and variance predictions in one
+//! place (see [`strategy`]) — and every release runs through one shared
+//! noise-then-recover step. Each release is one [`SessionRelease`], with
+//! one JSON encoding (see [`serde_impls`]) shared by the service and the
+//! CLI.
 
 pub mod analysis;
 pub mod api;
@@ -74,7 +81,9 @@ pub mod strategy;
 pub mod table;
 pub mod workload;
 
-/// Convenient re-exports of the types most programs need.
+/// Convenient re-exports of the types most programs need: the plan and
+/// session API, workloads and strategies, and [`NoiseParams`](crate::strategy::NoiseParams)
+/// for code that replays a release's noise.
 pub mod prelude {
     pub use crate::api::{
         Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
@@ -87,11 +96,9 @@ pub mod prelude {
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
     pub use crate::range::{RangeStrategy, RangeWorkload};
-    pub use crate::release::{Budgeting, Release, StrategyKind};
+    pub use crate::release::{Budgeting, StrategyKind};
     pub use crate::schema::{Attribute, Schema};
-    pub use crate::strategy::{
-        EngineRelease, NoiseParams, ReleaseEngine, ReleaseScratch, StrategyOperator,
-    };
+    pub use crate::strategy::NoiseParams;
     pub use crate::table::ContingencyTable;
     pub use crate::workload::Workload;
     pub use dp_mech::{Neighboring, PrivacyLevel};
@@ -102,7 +109,7 @@ pub use crate::api::{
 };
 pub use crate::cluster::{CentroidSearch, ClusterConfig};
 pub use crate::mask::AttrMask;
-pub use crate::release::{Budgeting, Release, StrategyKind};
+pub use crate::release::{Budgeting, StrategyKind};
 pub use crate::schema::Schema;
 pub use crate::table::ContingencyTable;
 pub use crate::workload::Workload;
@@ -254,6 +261,11 @@ mod tests {
                 cell: 3,
                 count: -1.0,
             },
+            CoreError::NonFiniteCount {
+                cell: 3,
+                delta: f64::NAN,
+            },
+            CoreError::ReadOnlySession,
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -1,32 +1,34 @@
-//! Range-query workloads and the hierarchical / wavelet strategies.
+//! Range-query workloads and their strategies: identity, hierarchical,
+//! wavelet and sketch.
 //!
 //! Section 3.1 of the paper lists hierarchical structures \[14\] and the Haar
 //! wavelet \[23\] among the groupable strategies its budget optimizer
 //! improves: a binary tree over `x` groups rows by level (grouping number
 //! `⌈log₂N⌉ + 1` counting the leaf level), and the 1-D Haar matrix groups
 //! by resolution level. This module instantiates the framework for interval
-//! (range-count) workloads over a 1-D domain, demonstrating that the
-//! pipeline is not marginal-specific.
+//! (range-count) workloads over a 1-D domain, showing that the pipeline is
+//! not marginal-specific.
 //!
-//! Since the [`crate::strategy`] refactor the module contains **no noise or
-//! recovery loop of its own**, and since the [`crate::api`] redesign
-//! *planning* is matrix-free too: group structure and per-query GLS
-//! variances for the identity/tree/Haar strategies come from the
-//! closed-form Haar diagonalization of their normal matrices (see the
-//! planning section below), so plans compile for domains far beyond the
-//! dense oracle's `n ≲ 4096`. The dense [`crate::framework`] path survives
-//! as the test oracle and as the sketch strategy's planner.
-//! Every release runs through the shared [`ReleaseEngine`] — observations
-//! `z = S·x` are matrix-free [`LinearOperator`] applications (tree sums,
-//! Haar transforms, CSR products). Recovery reuses the planner's Haar
-//! diagonalization: for the identity, tree and Haar strategies each range's
-//! GLS answer is an exact `O(log n)` sum over the Haar coefficients of
-//! `Sᵀ W z̃`, so no iterative solver runs; only the sketch strategy solves
-//! its weighted normal equations by conjugate gradients.
+//! Each range strategy is one strategy object (`RangeStrategyOp`, see
+//! [`crate::strategy`]) that decides everything about it: its group
+//! structure, its observations `z = S·x` through a matrix-free
+//! [`LinearOperator`] (tree sums, Haar transforms, CSR products), the
+//! sparse column a one-record delta adds, its recovery and its variance
+//! predictions. Noise and budgets are shared with every other strategy.
+//!
+//! Planning and recovery are matrix-free for the identity, tree and Haar
+//! strategies: their weighted normal matrices are diagonal in the Haar
+//! basis (see the planning section below), so group specs, per-query GLS
+//! variances and each range's GLS answer are exact `O(log n)` sums over
+//! Haar coefficients, and plans compile for domains far beyond the dense
+//! oracle's `n ≲ 4096`. The sketch has no such structure: it is planned by
+//! the dense [`crate::framework`] path (which is also the test oracle) and
+//! recovers by conjugate gradients on its weighted normal equations.
 
+use crate::api::Answers;
 use crate::framework::{gls_recovery, output_variances, Decomposition};
 use crate::grouping::{detect_grouping, Grouping};
-use crate::strategy::{ReleaseEngine, StrategyOperator};
+use crate::strategy::StrategyOperator;
 use crate::CoreError;
 use dp_linalg::{
     CgOptions, CsrMatrix, HaarOperator, HierarchicalOperator, IdentityOperator, LinearOperator,
@@ -257,26 +259,53 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
         .expect("triplets are in range by construction")
 }
 
-/// The range strategies' [`StrategyOperator`]: observations through a
-/// matrix-free `S`. The identity, tree and Haar strategies recover in
-/// closed form through the Haar diagonalization of their normal matrices
-/// (see [`haar_diagonal_sum`]); the sketch recovers by CG on the weighted
-/// normal equations, then answers via the prefix-sum application of `Q`.
+/// A range strategy compiled **without data**: the matrix-free operator
+/// `S`, the group structure and, for the sketch, the transposed matrix for
+/// per-record deltas. The identity, tree and Haar strategies compile
+/// analytically (no dense matrix at any size) and recover in closed form
+/// through the Haar diagonalization of their normal matrices (see
+/// [`haar_diagonal_sum`]); the sketch is planned by the dense oracle and
+/// recovers by CG on the weighted normal equations, then answers via the
+/// prefix-sum application of `Q`.
 pub(crate) struct RangeStrategyOp {
     strategy: RangeStrategy,
     operator: Box<dyn LinearOperator + Send + Sync>,
+    /// The transposed sketch (row `j` lists `(i, S[i, j])`), for
+    /// `O(column nnz)` deltas; `None` for the structured strategies, whose
+    /// columns are computed on the fly.
+    sketch_columns: Option<CsrMatrix>,
     workload: RangeWorkload,
     specs: Vec<GroupSpec>,
     row_groups: Vec<u32>,
 }
 
-impl StrategyOperator for RangeStrategyOp {
-    type Answer = Vec<f64>;
-
-    fn num_rows(&self) -> usize {
-        self.operator.rows()
+impl RangeStrategyOp {
+    /// Compiles the strategy for a workload (data-independent).
+    pub(crate) fn build(
+        workload: &RangeWorkload,
+        strategy: RangeStrategy,
+    ) -> Result<Self, CoreError> {
+        let n = workload.domain();
+        let (specs, grouping) = match analytic_range_structure(workload, strategy) {
+            Some(parts) => parts,
+            None => dense_range_structure(workload, strategy)?,
+        };
+        let sketch_columns = match strategy {
+            RangeStrategy::Sketch { .. } => Some(sketch_csr(strategy, n).transposed()),
+            _ => None,
+        };
+        Ok(RangeStrategyOp {
+            strategy,
+            operator: strategy_operator(strategy, n),
+            sketch_columns,
+            workload: workload.clone(),
+            specs,
+            row_groups: grouping.assignment().iter().map(|&g| g as u32).collect(),
+        })
     }
+}
 
+impl StrategyOperator for RangeStrategyOp {
     fn group_specs(&self) -> &[GroupSpec] {
         &self.specs
     }
@@ -285,7 +314,46 @@ impl StrategyOperator for RangeStrategyOp {
         &self.row_groups
     }
 
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
+    fn domain(&self) -> usize {
+        self.workload.domain()
+    }
+
+    fn observe(&self, hist: &[f64]) -> Result<Vec<f64>, CoreError> {
+        Ok(self.operator.apply(hist))
+    }
+
+    fn add_column(&self, z: &mut [f64], cell: usize, delta: f64) {
+        let n = self.workload.domain();
+        match self.strategy {
+            RangeStrategy::Identity => z[cell] += delta,
+            // Level ℓ of the tree contributes row `2^ℓ − 1 + (j >> (levels
+            // − ℓ))` (the dyadic block of width `n/2^ℓ` containing `j`).
+            RangeStrategy::Hierarchical => {
+                let levels = n.trailing_zeros() as usize;
+                for level in 0..=levels {
+                    z[(1usize << level) - 1 + (cell >> (levels - level))] += delta;
+                }
+            }
+            // Column `j` of the Haar analysis = the coefficients of the
+            // unit indicator `[j, j+1)`.
+            RangeStrategy::Wavelet => {
+                for (i, c) in haar_range_coeffs(n, cell, cell + 1) {
+                    z[i] += delta * c;
+                }
+            }
+            RangeStrategy::Sketch { .. } => {
+                let transposed = self
+                    .sketch_columns
+                    .as_ref()
+                    .expect("a sketch keeps its transposed matrix");
+                for (i, v) in transposed.row_entries(cell) {
+                    z[i] += delta * v;
+                }
+            }
+        }
+    }
+
+    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Answers, CoreError> {
         let row_weights = self.row_groups.iter().map(|&g| group_weights[g as usize]);
         let n = self.workload.domain();
         let Some(lam) = haar_eigenvalues(self.strategy, n, group_weights) else {
@@ -296,7 +364,7 @@ impl StrategyOperator for RangeStrategyOp {
                 noisy,
                 CgOptions::default(),
             )?;
-            return self.workload.true_answers(&x_hat);
+            return self.workload.true_answers(&x_hat).map(Answers::Ranges);
         };
         let weighted: Vec<f64> = noisy.iter().zip(row_weights).map(|(v, w)| v * w).collect();
         // y = H·Sᵀ(W ⊙ z̃): the Haar coefficients of the normal equations'
@@ -313,7 +381,41 @@ impl StrategyOperator for RangeStrategyOp {
             .ranges()
             .par_iter()
             .map(|&(lo, hi)| haar_diagonal_sum(n, lo, hi, &lam, |i, c| c * y[i]))
-            .collect()
+            .collect::<Result<_, _>>()
+            .map(Answers::Ranges)
+    }
+
+    /// Exact per-query output variances of the final GLS recovery:
+    /// `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j`, in closed form through the Haar
+    /// diagonalization for the structured strategies and via the dense
+    /// oracle for sketches. A structured-strategy query that reads a
+    /// withheld Haar level is [`CoreError::Singular`]; the sketch's CG needs
+    /// every row, so it refuses any withheld group.
+    fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError> {
+        let n = self.workload.domain();
+        let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
+        if let Some(lam) = haar_eigenvalues(self.strategy, n, &weights) {
+            return self
+                .workload
+                .ranges()
+                .par_iter()
+                .map(|&(lo, hi)| haar_diagonal_sum(n, lo, hi, &lam, |_, c| c * c))
+                .collect();
+        }
+        if group_sigma2.iter().any(|v| !v.is_finite()) {
+            return Err(CoreError::Singular(
+                "a strategy row received zero budget; drop unused rows first",
+            ));
+        }
+        let row_variances: Vec<f64> = self
+            .row_groups
+            .iter()
+            .map(|&g| group_sigma2[g as usize])
+            .collect();
+        let q = self.workload.query_matrix();
+        let s = strategy_matrix(self.strategy, n);
+        let r = gls_recovery(&q, &s, &row_variances)?;
+        output_variances(&r, &row_variances)
     }
 }
 
@@ -668,169 +770,11 @@ pub(crate) fn dense_range_structure(
     Ok((specs, grouping))
 }
 
-/// A range strategy compiled **without data**: the shared release engine
-/// over the matrix-free operator, plus the grouping — what
-/// [`crate::api::Plan`] embeds for range workloads. Identity, hierarchical
-/// and Haar strategies compile analytically (no dense matrix at any size);
-/// sketches fall back to the dense oracle.
-pub(crate) struct CompiledRangeStrategy {
-    pub(crate) engine: ReleaseEngine<RangeStrategyOp>,
-    pub(crate) grouping: Grouping,
-    delta: RangeDeltaOp,
-}
-
-/// The sparse column `S[·, j]` of each range strategy, precomputed at
-/// compile time so a per-record delta updates the observation vector in
-/// O(column nnz) — O(1) for identity, O(log n) for the structured
-/// strategies, O(nnz) of the transposed sketch row otherwise.
-enum RangeDeltaOp {
-    Identity,
-    /// Level ℓ of the tree contributes row `2^ℓ − 1 + (j >> (levels − ℓ))`
-    /// (the dyadic block of width `n/2^ℓ` containing `j`), weight 1.
-    Hierarchical {
-        levels: usize,
-    },
-    /// Column `j` of the Haar analysis = the coefficients of the unit
-    /// indicator `[j, j+1)` — exactly [`haar_range_coeffs`].
-    Wavelet {
-        n: usize,
-    },
-    /// The transposed sketch: row `j` lists `(i, S[i, j])`.
-    Sketch(CsrMatrix),
-}
-
-impl CompiledRangeStrategy {
-    /// Compiles the strategy for a workload (data-independent).
-    pub(crate) fn build(
-        workload: &RangeWorkload,
-        strategy: RangeStrategy,
-    ) -> Result<Self, CoreError> {
-        let n = workload.domain();
-        let (specs, grouping) = match analytic_range_structure(workload, strategy) {
-            Some(parts) => parts,
-            None => dense_range_structure(workload, strategy)?,
-        };
-        let row_groups: Vec<u32> = grouping.assignment().iter().map(|&g| g as u32).collect();
-        let delta = match strategy {
-            RangeStrategy::Identity => RangeDeltaOp::Identity,
-            RangeStrategy::Hierarchical => RangeDeltaOp::Hierarchical {
-                levels: n.trailing_zeros() as usize,
-            },
-            RangeStrategy::Wavelet => RangeDeltaOp::Wavelet { n },
-            RangeStrategy::Sketch { .. } => {
-                RangeDeltaOp::Sketch(sketch_csr(strategy, n).transposed())
-            }
-        };
-        let engine = ReleaseEngine::new(RangeStrategyOp {
-            strategy,
-            operator: strategy_operator(strategy, n),
-            workload: workload.clone(),
-            specs,
-            row_groups,
-        })?;
-        Ok(CompiledRangeStrategy {
-            engine,
-            grouping,
-            delta,
-        })
-    }
-
-    /// Computes the exact observation vector `z = S·hist` through the
-    /// matrix-free operator — the data-dependent step, run once per bound
-    /// histogram.
-    pub(crate) fn observe(&self, hist: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let op = &self.engine.strategy().operator;
-        if hist.len() != op.cols() {
-            return Err(CoreError::Shape {
-                context: "range release histogram",
-                expected: op.cols(),
-                actual: hist.len(),
-            });
-        }
-        Ok(op.apply(hist))
-    }
-
-    /// Adds `delta` units at histogram cell `cell` directly to an
-    /// observation vector `z`: `z += delta · S[·, cell]` via the
-    /// precomputed sparse column — O(1)/O(log n)/O(column nnz), never
-    /// O(n). The incremental twin of [`CompiledRangeStrategy::observe`].
-    pub(crate) fn apply_delta(
-        &self,
-        z: &mut [f64],
-        cell: u64,
-        delta: f64,
-    ) -> Result<(), CoreError> {
-        let n = self.engine.strategy().operator.cols();
-        if cell >= n as u64 {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: n,
-                actual: cell as usize,
-            });
-        }
-        let j = cell as usize;
-        match &self.delta {
-            RangeDeltaOp::Identity => z[j] += delta,
-            RangeDeltaOp::Hierarchical { levels } => {
-                for level in 0..=*levels {
-                    z[(1usize << level) - 1 + (j >> (levels - level))] += delta;
-                }
-            }
-            RangeDeltaOp::Wavelet { n } => {
-                for (i, c) in haar_range_coeffs(*n, j, j + 1) {
-                    z[i] += delta * c;
-                }
-            }
-            RangeDeltaOp::Sketch(transposed) => {
-                for (i, v) in transposed.row_entries(j) {
-                    z[i] += delta * v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Exact per-query output variances of the final GLS recovery, given
-    /// per-group noise variances (`group_sigma2[r]`, group order; `∞` for
-    /// a withheld group): `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j`, in closed form
-    /// through the Haar diagonalization for the structured strategies and
-    /// via the dense oracle for sketches. A structured-strategy query that
-    /// reads a withheld Haar level is [`CoreError::Singular`].
-    pub(crate) fn predict_query_variances(
-        &self,
-        workload: &RangeWorkload,
-        strategy: RangeStrategy,
-        group_sigma2: &[f64],
-    ) -> Result<Vec<f64>, CoreError> {
-        let n = workload.domain();
-        let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
-        match haar_eigenvalues(strategy, n, &weights) {
-            Some(lam) => workload
-                .ranges()
-                .par_iter()
-                .map(|&(lo, hi)| haar_diagonal_sum(n, lo, hi, &lam, |_, c| c * c))
-                .collect(),
-            None => {
-                let row_variances: Vec<f64> = self
-                    .grouping
-                    .assignment()
-                    .iter()
-                    .map(|&g| group_sigma2[g])
-                    .collect();
-                let q = workload.query_matrix();
-                let s = strategy_matrix(strategy, n);
-                let r = gls_recovery(&q, &s, &row_variances)?;
-                output_variances(&r, &row_variances)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{Plan, PlanBuilder, Session};
-    use crate::strategy::{noise_variance, perturb_observations, Budgeting};
+    use crate::strategy::{noise_variance, perturb_observations, solve_budgets, Budgeting};
     use dp_mech::{LaplaceMechanism, NoiseMechanism, PrivacyLevel};
 
     fn hist(n: usize) -> Vec<f64> {
@@ -973,7 +917,7 @@ mod tests {
 
     #[test]
     fn release_matches_dense_gls_recovery() {
-        // The closed-form recovery through the shared engine must match the
+        // The closed-form recovery through the release step must match the
         // dense R·z̃ oracle on the identical noisy observations: replay the
         // release's noise with `perturb_observations` from the same seed
         // and apply the dense GLS recovery matrix to it.
@@ -1074,14 +1018,13 @@ mod tests {
         let n = 16;
         let w = RangeWorkload::new(n, vec![(0, 8), (3, 5)]).unwrap();
         for strategy in [RangeStrategy::Wavelet, RangeStrategy::Hierarchical] {
-            let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-            let op = compiled.engine.strategy();
+            let op = RangeStrategyOp::build(&w, strategy).unwrap();
             let groups = op.group_specs().len();
             // Withhold the finest level: (3, 5) reads it under both
             // strategies (the tree's finest Haar level sees only leaves).
             let mut weights = vec![1.0; groups];
             weights[groups - 1] = 0.0;
-            let noisy = vec![1.0; op.num_rows()];
+            let noisy = vec![1.0; op.row_groups().len()];
             assert!(matches!(
                 op.recover(&noisy, &weights),
                 Err(CoreError::Singular(_))
@@ -1089,7 +1032,7 @@ mod tests {
             let mut sigma2 = vec![1.0; groups];
             sigma2[groups - 1] = f64::INFINITY;
             assert!(matches!(
-                compiled.predict_query_variances(&w, strategy, &sigma2),
+                op.query_variances(&sigma2),
                 Err(CoreError::Singular(_))
             ));
         }
@@ -1314,24 +1257,23 @@ mod tests {
             RangeStrategy::Wavelet,
         ] {
             for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
-                let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-                let solution = compiled
-                    .engine
-                    .solve_budgets(PrivacyLevel::Pure { epsilon: 0.7 }, budgeting)
-                    .unwrap();
+                let op = RangeStrategyOp::build(&w, strategy).unwrap();
+                let solution = solve_budgets(
+                    op.group_specs(),
+                    PrivacyLevel::Pure { epsilon: 0.7 },
+                    budgeting,
+                )
+                .unwrap();
                 let sigma2: Vec<f64> = solution
                     .group_budgets
                     .iter()
                     .map(|&e| LaplaceMechanism.variance(e))
                     .collect();
-                let fast = compiled
-                    .predict_query_variances(&w, strategy, &sigma2)
-                    .unwrap();
-                let row_variances: Vec<f64> = compiled
-                    .grouping
-                    .assignment()
+                let fast = op.query_variances(&sigma2).unwrap();
+                let row_variances: Vec<f64> = op
+                    .row_groups()
                     .iter()
-                    .map(|&g| sigma2[g])
+                    .map(|&g| sigma2[g as usize])
                     .collect();
                 let q = w.query_matrix();
                 let s = strategy_matrix(strategy, n);
@@ -1355,27 +1297,22 @@ mod tests {
         let n = 1usize << 14;
         let w = RangeWorkload::all_prefixes(n).unwrap();
         for strategy in [RangeStrategy::Hierarchical, RangeStrategy::Wavelet] {
-            let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-            let groups = compiled.engine.strategy().group_specs().len();
+            let op = RangeStrategyOp::build(&w, strategy).unwrap();
+            let groups = op.group_specs().len();
             assert_eq!(groups, 15, "{strategy:?}: log2(n)+1 level groups");
-            assert!(compiled
-                .engine
-                .strategy()
-                .group_specs()
-                .iter()
-                .all(|g| g.s > 0.0 && g.c > 0.0));
-            let solution = compiled
-                .engine
-                .solve_budgets(PrivacyLevel::Pure { epsilon: 1.0 }, Budgeting::Optimal)
-                .unwrap();
+            assert!(op.group_specs().iter().all(|g| g.s > 0.0 && g.c > 0.0));
+            let solution = solve_budgets(
+                op.group_specs(),
+                PrivacyLevel::Pure { epsilon: 1.0 },
+                Budgeting::Optimal,
+            )
+            .unwrap();
             let sigma2: Vec<f64> = solution
                 .group_budgets
                 .iter()
                 .map(|&e| LaplaceMechanism.variance(e))
                 .collect();
-            let vars = compiled
-                .predict_query_variances(&w, strategy, &sigma2)
-                .unwrap();
+            let vars = op.query_variances(&sigma2).unwrap();
             assert_eq!(vars.len(), n);
             assert!(vars.iter().all(|v| v.is_finite() && *v > 0.0));
         }

@@ -1,26 +1,29 @@
-//! The marginal release pipeline: the paper's Figure-3 pipeline for
-//! marginal workloads, expressed as [`StrategyOperator`] implementations
-//! over the shared [`ReleaseEngine`].
+//! The marginal strategies: the paper's four strategy families for
+//! marginal workloads (Sections 4–5), each one strategy object.
 //!
-//! `CompiledMarginalStrategy` compiles a workload + strategy into the
-//! fully **data-independent** half of the pipeline (group structure,
-//! coefficient spaces, recovery map, observation recipe); binding it to a
-//! table and drawing releases is the job of [`crate::api::Session`]. Steps
-//! 2–3 — budgets, noise, generalized-least-squares recovery — live in the
-//! engine in [`crate::strategy`]; the types here only encode what is
-//! specific to each marginal strategy: its group structure and its
-//! (Fourier-space) recovery.
+//! A marginal strategy is compiled **without data** from a workload and a
+//! [`StrategyKind`]: its group structure, its coefficient space and
+//! recovery map, and (for `Cluster`) the greedy clustering. Each of the
+//! three types below decides everything about its strategy in one place —
+//! how a table is observed, which observation rows a record touches, how
+//! noisy rows are recovered into consistent marginals and what variance
+//! each marginal is predicted to have. Budgets, noise and the release loop
+//! are shared by every strategy and live in [`crate::strategy`]; binding a
+//! plan to a table and drawing releases is the job of
+//! [`crate::api::Session`].
 
+use crate::api::Answers;
 use crate::cluster::{greedy_cluster_with_config, ClusterConfig, Clustering};
 use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
-use crate::strategy::{ReleaseEngine, StrategyOperator};
+use crate::strategy::{SharedStrategy, StrategyOperator};
 use crate::table::marginals_of;
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 pub use crate::strategy::Budgeting;
 
@@ -47,23 +50,101 @@ impl StrategyKind {
             StrategyKind::Cluster => "C",
         }
     }
+
+    /// The strategy's word in plan-cache keys and fingerprints.
+    pub(crate) fn key_word(self) -> u64 {
+        match self {
+            StrategyKind::Identity => 0,
+            StrategyKind::Workload => 1,
+            StrategyKind::Fourier => 2,
+            StrategyKind::Cluster => 3,
+        }
+    }
 }
 
-/// A finished differentially private release.
-#[derive(Debug, Clone)]
-pub struct Release {
-    /// Consistent noisy answers, one per workload marginal, workload order.
-    pub answers: Vec<MarginalTable>,
-    /// Per-group noise budgets `η_r` actually used.
-    pub group_budgets: Vec<f64>,
-    /// Predicted total output variance of the *initial* recovery `R₀`
-    /// (the Step-2 objective scaled by the mechanism constant); the GLS
-    /// recovery of Step 3 can only improve on this.
-    pub predicted_variance: f64,
-    /// Achieved ε implied by the budgets (must be ≤ the requested ε).
-    pub achieved_epsilon: f64,
-    /// Strategy label, e.g. `"F+"` for Fourier with optimal budgets.
-    pub label: String,
+/// Compiles a marginal strategy for a workload: runs the strategy search
+/// (for `Cluster`, under the given [`ClusterConfig`]) and derives the group
+/// structure and the recovery map. No table is consulted.
+pub(crate) fn marginal_strategy(
+    workload: &Workload,
+    strategy: StrategyKind,
+    cluster: ClusterConfig,
+) -> Result<SharedStrategy, CoreError> {
+    let d = workload.domain_bits();
+    let targets = workload.marginals().to_vec();
+    Ok(match strategy {
+        StrategyKind::Identity => {
+            // One group of all N base cells, C = 1. Recovery weight per
+            // cell is the number of workload marginals (each uses every
+            // cell exactly once), so s = ℓ·N.
+            let n = 1usize << d;
+            Arc::new(IdentityStrategy {
+                d,
+                specs: vec![GroupSpec {
+                    c: 1.0,
+                    s: (targets.len() * n) as f64,
+                }],
+                targets,
+                row_groups: vec![0; n],
+            })
+        }
+        StrategyKind::Workload => {
+            // R₀ = I: b_i = 1 per released cell, s_r = 2^{‖α_r‖}; each
+            // marginal is answered from its own group.
+            let weights = targets.iter().map(|m| m.cell_count() as f64).collect();
+            let assignment = (0..targets.len()).collect();
+            let observed = targets.clone();
+            Arc::new(MarginalsStrategy::new(
+                d, targets, observed, assignment, weights, None,
+            )?)
+        }
+        StrategyKind::Cluster => {
+            let clustering = greedy_cluster_with_config(workload, cluster);
+            // R₀ aggregates the centroid's cells into each assigned
+            // marginal: each centroid cell is used once per assigned
+            // marginal, so s_c = ℓ_c · 2^{‖u_c‖} (cell counts memoized by
+            // the clustering).
+            let weights = clustering
+                .cell_counts()
+                .iter()
+                .zip(clustering.cluster_sizes())
+                .map(|(&cells, lc)| (lc * cells) as f64)
+                .collect();
+            Arc::new(MarginalsStrategy::new(
+                d,
+                targets,
+                clustering.centroids().to_vec(),
+                clustering.assignment().to_vec(),
+                weights,
+                Some(clustering),
+            )?)
+        }
+        StrategyKind::Fourier => {
+            let space = CoefficientSpace::from_marginals(d, &targets);
+            // b_β = Σ_{α ⊇ β, α ∈ W} 2^{‖α‖} · (2^{d/2−‖α‖})²
+            //     = Σ 2^{d−‖α‖}; singleton groups with C = 2^{−d/2}.
+            let c = 2f64.powf(-(d as f64) / 2.0);
+            let specs: Vec<GroupSpec> = space
+                .support()
+                .par_iter()
+                .map(|&beta| {
+                    let s = targets
+                        .iter()
+                        .filter(|&&alpha| beta.dominated_by(alpha))
+                        .map(|&alpha| 2f64.powi((d as u32 - alpha.weight()) as i32))
+                        .sum();
+                    GroupSpec { c, s }
+                })
+                .collect();
+            Arc::new(FourierStrategy {
+                d,
+                targets,
+                row_groups: (0..space.len() as u32).collect(),
+                space,
+                specs,
+            })
+        }
+    })
 }
 
 /// `S = I`: observe every base cell once (one group), recover each
@@ -76,12 +157,6 @@ struct IdentityStrategy {
 }
 
 impl StrategyOperator for IdentityStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        1usize << self.d
-    }
-
     fn group_specs(&self) -> &[GroupSpec] {
         &self.specs
     }
@@ -90,20 +165,36 @@ impl StrategyOperator for IdentityStrategy {
         &self.row_groups
     }
 
-    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Self::Answer, CoreError> {
+    fn domain(&self) -> usize {
+        1usize << self.d
+    }
+
+    fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
+        Ok(counts.to_vec())
+    }
+
+    fn add_column(&self, z: &mut [f64], cell: usize, delta: f64) {
+        z[cell] += delta;
+    }
+
+    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Answers, CoreError> {
         // `x̂ = z` is the GLS estimate for S = I; aggregating one noisy
         // table is automatically consistent. One fold per marginal, folds
         // in parallel.
         let d = self.d;
-        self.targets
-            .par_iter()
-            .map(|&alpha| {
-                Ok(MarginalTable::new(
-                    alpha,
-                    crate::table::marginalize(noisy, d, alpha),
-                ))
-            })
-            .collect()
+        Ok(Answers::Marginals(
+            self.targets
+                .par_iter()
+                .map(|&alpha| MarginalTable::new(alpha, crate::table::marginalize(noisy, d, alpha)))
+                .collect(),
+        ))
+    }
+
+    fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError> {
+        // Each marginal cell sums 2^{d−‖α‖} base cells of variance σ₀²;
+        // over 2^{‖α‖} cells: 2^d σ₀² per marginal.
+        let v = (1u64 << self.d) as f64 * group_sigma2[0];
+        Ok(vec![v; self.targets.len()])
     }
 }
 
@@ -111,20 +202,57 @@ impl StrategyOperator for IdentityStrategy {
 /// centroids (`C`). Recovery is GLS in Fourier-coefficient space, where the
 /// normal equations are diagonal (Section 4.3).
 struct MarginalsStrategy {
+    d: usize,
     targets: Vec<AttrMask>,
+    /// The observed marginals, one group each, in group order.
+    observed: Vec<AttrMask>,
+    /// Per target, the observed marginal the initial recovery `R₀` answers
+    /// it from (the identity for `Q`, the cluster assignment for `C`).
+    assignment: Vec<usize>,
     space: CoefficientSpace,
     op: ObservationOperator,
     specs: Vec<GroupSpec>,
     row_groups: Vec<u32>,
+    clustering: Option<Clustering>,
+}
+
+impl MarginalsStrategy {
+    /// Coefficient space, observation operator and one group per observed
+    /// marginal with `s_r` given by `weights` (aligned index-for-index with
+    /// `observed`).
+    fn new(
+        d: usize,
+        targets: Vec<AttrMask>,
+        observed: Vec<AttrMask>,
+        assignment: Vec<usize>,
+        weights: Vec<f64>,
+        clustering: Option<Clustering>,
+    ) -> Result<Self, CoreError> {
+        let space = CoefficientSpace::from_marginals(d, &observed);
+        let op = ObservationOperator::new(&space, &observed)?;
+        let specs = weights
+            .into_iter()
+            .map(|s| GroupSpec { c: 1.0, s })
+            .collect();
+        let mut row_groups = Vec::new();
+        for (g, m) in observed.iter().enumerate() {
+            row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
+        }
+        Ok(MarginalsStrategy {
+            d,
+            targets,
+            observed,
+            assignment,
+            space,
+            op,
+            specs,
+            row_groups,
+            clustering,
+        })
+    }
 }
 
 impl StrategyOperator for MarginalsStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        self.row_groups.len()
-    }
-
     fn group_specs(&self) -> &[GroupSpec] {
         &self.specs
     }
@@ -133,14 +261,51 @@ impl StrategyOperator for MarginalsStrategy {
         &self.row_groups
     }
 
-    fn recover(&self, noisy: &[f64], weights: &[f64]) -> Result<Self::Answer, CoreError> {
+    fn domain(&self) -> usize {
+        1usize << self.d
+    }
+
+    fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
+        Ok(marginals_of(counts, self.d, &self.observed)
+            .iter()
+            .flat_map(|m| m.values().iter().copied())
+            .collect())
+    }
+
+    fn add_column(&self, z: &mut [f64], cell: usize, delta: f64) {
+        // A tuple at `cell` lands in exactly one cell of each observed
+        // marginal: the one indexed by its bits under α.
+        let cell = cell as u64;
+        let mut offset = 0usize;
+        for &alpha in &self.observed {
+            z[offset + alpha.compress_cell(cell & alpha.0)] += delta;
+            offset += alpha.cell_count();
+        }
+    }
+
+    fn recover(&self, noisy: &[f64], weights: &[f64]) -> Result<Answers, CoreError> {
         // Diagonal GLS in coefficient space, then one block WHT per target
         // marginal (reconstructions in parallel).
         let coeffs = self.op.gls_solve(noisy, weights)?;
         self.targets
             .par_iter()
             .map(|&alpha| self.space.reconstruct(&coeffs, alpha))
-            .collect()
+            .collect::<Result<_, _>>()
+            .map(Answers::Marginals)
+    }
+
+    fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError> {
+        // A target answered from observed marginal u: each of its 2^{‖α‖}
+        // cells sums 2^{‖u‖−‖α‖} cells of u → 2^{‖u‖} σ_u² in total.
+        Ok(self
+            .assignment
+            .iter()
+            .map(|&g| self.observed[g].cell_count() as f64 * group_sigma2[g])
+            .collect())
+    }
+
+    fn clustering(&self) -> Option<&Clustering> {
+        self.clustering.as_ref()
     }
 }
 
@@ -148,6 +313,7 @@ impl StrategyOperator for MarginalsStrategy {
 /// coefficient is observed exactly once, so GLS degenerates to the noisy
 /// observations themselves (the diagonal specialization of Section 4.3).
 struct FourierStrategy {
+    d: usize,
     targets: Vec<AttrMask>,
     space: CoefficientSpace,
     specs: Vec<GroupSpec>,
@@ -155,12 +321,6 @@ struct FourierStrategy {
 }
 
 impl StrategyOperator for FourierStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        self.row_groups.len()
-    }
-
     fn group_specs(&self) -> &[GroupSpec] {
         &self.specs
     }
@@ -169,316 +329,64 @@ impl StrategyOperator for FourierStrategy {
         &self.row_groups
     }
 
-    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Self::Answer, CoreError> {
+    fn domain(&self) -> usize {
+        1usize << self.d
+    }
+
+    fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
+        // Exact coefficients from the workload marginals (one fold pass per
+        // marginal plus per-block WHTs), with one shared WHT buffer across
+        // all marginals.
+        let mut coeffs = vec![0.0; self.space.len()];
+        let mut scratch = Vec::new();
+        for m in marginals_of(counts, self.d, &self.targets) {
+            self.space
+                .fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
+        }
+        Ok(coeffs)
+    }
+
+    fn add_column(&self, z: &mut [f64], cell: usize, delta: f64) {
+        // fᵝ(cell) = (−1)^{⟨β,cell⟩} · 2^{−d/2} for every β in the support
+        // (the column of the Fourier observation matrix).
+        let scale = 2f64.powf(-(self.d as f64) / 2.0);
+        let cell_mask = AttrMask(cell as u64);
+        for (i, &beta) in self.space.support().iter().enumerate() {
+            z[i] += delta * cell_mask.sign(beta) * scale;
+        }
+    }
+
+    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Answers, CoreError> {
         self.targets
             .par_iter()
             .map(|&alpha| self.space.reconstruct(noisy, alpha))
-            .collect()
-    }
-}
-
-/// The marginal strategies behind one object-safe interface — proof that
-/// the planner is open to new strategy plugins.
-pub(crate) type MarginalStrategyBox =
-    Box<dyn StrategyOperator<Answer = Vec<MarginalTable>> + Send + Sync>;
-
-/// How a compiled marginal strategy turns a concrete table into its exact
-/// observation vector `z = S x` — the *only* data-dependent step of the
-/// pipeline, deferred to [`CompiledMarginalStrategy::observe`].
-enum ObserveKind {
-    /// `z` = the raw base counts (`S = I`).
-    BaseCounts,
-    /// `z` = the concatenated cells of the observed marginals.
-    MarginalCells(Vec<AttrMask>),
-    /// `z` = the Fourier coefficients of the support, filled from the
-    /// listed (workload) marginals.
-    FourierCoefficients {
-        space: CoefficientSpace,
-        fill_from: Vec<AttrMask>,
-    },
-}
-
-/// A marginal strategy compiled **without data**: the shared release engine
-/// (group structure + recovery map), the clustering (for `Cluster`), and
-/// the recipe for computing observations once a table arrives. This is
-/// what [`crate::api::Plan`] embeds for marginal workloads.
-pub(crate) struct CompiledMarginalStrategy {
-    pub(crate) engine: ReleaseEngine<MarginalStrategyBox>,
-    pub(crate) clustering: Option<Clustering>,
-    observe: ObserveKind,
-    d: usize,
-}
-
-impl CompiledMarginalStrategy {
-    /// Compiles the strategy for a workload: runs the strategy search (for
-    /// `Cluster`, under the given [`ClusterConfig`]), derives the group
-    /// structure and the recovery map. No table is consulted.
-    pub(crate) fn build(
-        workload: &Workload,
-        strategy: StrategyKind,
-        cluster: ClusterConfig,
-    ) -> Result<Self, CoreError> {
-        let d = workload.domain_bits();
-        let ell = workload.len() as f64;
-        let targets = workload.marginals().to_vec();
-
-        let (boxed, observe, clustering): (MarginalStrategyBox, ObserveKind, _) = match strategy {
-            StrategyKind::Identity => {
-                // One group of all N base cells, C = 1. Recovery weight
-                // per cell is the number of workload marginals (each
-                // uses every cell exactly once), so s = ℓ·N.
-                let n = 1usize << d;
-                let specs = vec![GroupSpec {
-                    c: 1.0,
-                    s: ell * n as f64,
-                }];
-                let inner = IdentityStrategy {
-                    d,
-                    targets,
-                    specs,
-                    row_groups: vec![0; n],
-                };
-                (Box::new(inner), ObserveKind::BaseCounts, None)
-            }
-            StrategyKind::Workload => {
-                let observed = workload.marginals().to_vec();
-                // R₀ = I: b_i = 1 per released cell, s_r = 2^{‖α_r‖}.
-                let weights: Vec<f64> = observed.iter().map(|m| m.cell_count() as f64).collect();
-                let inner = marginals_strategy(d, observed.clone(), targets, weights)?;
-                (Box::new(inner), ObserveKind::MarginalCells(observed), None)
-            }
-            StrategyKind::Cluster => {
-                let clustering = greedy_cluster_with_config(workload, cluster);
-                let observed = clustering.centroids().to_vec();
-                // R₀ aggregates the centroid's cells into each assigned
-                // marginal: each centroid cell is used once per assigned
-                // marginal, so s_c = ℓ_c · 2^{‖u_c‖} (cell counts memoized
-                // by the clustering).
-                let weights: Vec<f64> = clustering
-                    .cell_counts()
-                    .iter()
-                    .zip(clustering.cluster_sizes())
-                    .map(|(&cells, lc)| (lc * cells) as f64)
-                    .collect();
-                let inner = marginals_strategy(d, observed.clone(), targets, weights)?;
-                (
-                    Box::new(inner),
-                    ObserveKind::MarginalCells(observed),
-                    Some(clustering),
-                )
-            }
-            StrategyKind::Fourier => {
-                let space = CoefficientSpace::from_marginals(d, workload.marginals());
-                // b_β = Σ_{α ⊇ β, α ∈ W} 2^{‖α‖} · (2^{d/2−‖α‖})²
-                //     = Σ 2^{d−‖α‖}; singleton groups with C = 2^{−d/2}.
-                let c = 2f64.powf(-(d as f64) / 2.0);
-                let specs: Vec<GroupSpec> = space
-                    .support()
-                    .par_iter()
-                    .map(|&beta| {
-                        let s = workload
-                            .marginals()
-                            .iter()
-                            .filter(|&&alpha| beta.dominated_by(alpha))
-                            .map(|&alpha| 2f64.powi((d as u32 - alpha.weight()) as i32))
-                            .sum();
-                        GroupSpec { c, s }
-                    })
-                    .collect();
-                let row_groups = (0..space.len() as u32).collect();
-                let inner = FourierStrategy {
-                    targets,
-                    space: space.clone(),
-                    specs,
-                    row_groups,
-                };
-                let observe = ObserveKind::FourierCoefficients {
-                    space,
-                    fill_from: workload.marginals().to_vec(),
-                };
-                (Box::new(inner), observe, None)
-            }
-        };
-
-        Ok(CompiledMarginalStrategy {
-            engine: ReleaseEngine::new(boxed)?,
-            clustering,
-            observe,
-            d,
-        })
+            .collect::<Result<_, _>>()
+            .map(Answers::Marginals)
     }
 
-    /// Computes the exact observation vector `z = S x` for a table's count
-    /// vector — the data-dependent step, run once per bound dataset.
-    pub(crate) fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if counts.len() != 1usize << self.d {
-            return Err(CoreError::Shape {
-                context: "planner domain size",
-                expected: 1usize << self.d,
-                actual: counts.len(),
-            });
-        }
-        match &self.observe {
-            ObserveKind::BaseCounts => Ok(counts.to_vec()),
-            ObserveKind::MarginalCells(observed) => Ok(marginals_of(counts, self.d, observed)
-                .iter()
-                .flat_map(|m| m.values().iter().copied())
-                .collect()),
-            ObserveKind::FourierCoefficients { space, fill_from } => {
-                // Exact coefficients from the workload marginals (one fold
-                // pass per marginal plus per-block WHTs), with one shared
-                // WHT buffer across all marginals.
-                let mut coeffs = vec![0.0; space.len()];
-                let mut scratch = Vec::new();
-                for m in marginals_of(counts, self.d, fill_from) {
-                    space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
-                }
-                Ok(coeffs)
-            }
-        }
-    }
-
-    /// Adds `delta` tuples at linearized cell `cell` directly to an
-    /// observation vector `z`: since `z = S x` is linear in `x`, the update
-    /// is the sparse column `delta · S[·, cell]` — O(#observed marginals)
-    /// or O(|support|) work, never O(2^d). The incremental twin of
-    /// [`CompiledMarginalStrategy::observe`].
-    pub(crate) fn apply_delta(
-        &self,
-        z: &mut [f64],
-        cell: u64,
-        delta: f64,
-    ) -> Result<(), CoreError> {
-        if cell >= 1u64 << self.d {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: 1usize << self.d,
-                actual: cell as usize,
-            });
-        }
-        match &self.observe {
-            ObserveKind::BaseCounts => {
-                z[cell as usize] += delta;
-            }
-            ObserveKind::MarginalCells(observed) => {
-                // A tuple at `cell` lands in exactly one cell of each
-                // observed marginal: the one indexed by its bits under α.
-                let mut offset = 0usize;
-                for &alpha in observed {
-                    z[offset + alpha.compress_cell(cell & alpha.0)] += delta;
-                    offset += alpha.cell_count();
-                }
-            }
-            ObserveKind::FourierCoefficients { space, .. } => {
-                // fᵝ(cell) = (−1)^{⟨β,cell⟩} · 2^{−d/2} for every β in the
-                // support (the column of the Fourier observation matrix).
-                let scale = 2f64.powf(-(self.d as f64) / 2.0);
-                let cell_mask = AttrMask(cell);
-                for (i, &beta) in space.support().iter().enumerate() {
-                    z[i] += delta * cell_mask.sign(beta) * scale;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Predicted per-marginal output variance of the *initial* recovery
-    /// `R₀`, given the per-group noise variances `group_sigma2` (one per
-    /// group, in group order). The entries sum to the engine's
-    /// `predicted_variance` total.
-    pub(crate) fn predict_query_variances(
-        &self,
-        workload: &Workload,
-        strategy: StrategyKind,
-        group_sigma2: &[f64],
-    ) -> Vec<f64> {
+    fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError> {
+        // Marginal α reconstructs from the coefficients β ≼ α, each
+        // contributing 2^{d−‖α‖} σ_β² (the same per-(α,β) weight that
+        // builds the group specs).
         let d = self.d;
-        match strategy {
-            // Each marginal cell sums 2^{d−‖α‖} base cells of variance σ₀²;
-            // over 2^{‖α‖} cells: 2^d σ₀² per marginal.
-            StrategyKind::Identity => {
-                let v = (1u64 << d) as f64 * group_sigma2[0];
-                vec![v; workload.len()]
-            }
-            // Group g observes marginal α_g directly: 2^{‖α‖} σ_g².
-            StrategyKind::Workload => workload
-                .marginals()
-                .iter()
-                .enumerate()
-                .map(|(g, m)| m.cell_count() as f64 * group_sigma2[g])
-                .collect(),
-            // Marginal α answered from centroid u: each of its 2^{‖α‖}
-            // cells sums 2^{‖u‖−‖α‖} centroid cells → 2^{‖u‖} σ_c² total.
-            StrategyKind::Cluster => {
-                let clustering = self
-                    .clustering
-                    .as_ref()
-                    .expect("cluster strategy always retains its clustering");
-                clustering
-                    .assignment()
-                    .iter()
-                    .map(|&c| clustering.cell_counts()[c] as f64 * group_sigma2[c])
-                    .collect()
-            }
-            // Marginal α reconstructs from the coefficients β ≼ α, each
-            // contributing 2^{d−‖α‖} σ_β² (the same per-(α,β) weight that
-            // builds the group specs).
-            StrategyKind::Fourier => {
-                let ObserveKind::FourierCoefficients { space, .. } = &self.observe else {
-                    unreachable!("Fourier strategy always observes coefficients");
-                };
-                workload
-                    .marginals()
-                    .par_iter()
-                    .map(|&alpha| {
-                        let scale = 2f64.powi((d as u32 - alpha.weight()) as i32);
-                        alpha
-                            .subsets()
-                            .map(|beta| {
-                                let pos = space
-                                    .position(beta)
-                                    .expect("support contains every workload downset");
-                                scale * group_sigma2[pos]
-                            })
-                            .sum()
+        Ok(self
+            .targets
+            .par_iter()
+            .map(|&alpha| {
+                let scale = 2f64.powi((d as u32 - alpha.weight()) as i32);
+                alpha
+                    .subsets()
+                    .map(|beta| {
+                        let pos = self
+                            .space
+                            .position(beta)
+                            .expect("support contains every workload downset");
+                        scale * group_sigma2[pos]
                     })
-                    .collect()
-            }
-        }
+                    .sum()
+            })
+            .collect())
     }
-}
-
-/// Shared construction for the `Workload` and `Cluster` strategies:
-/// coefficient space, observation operator and one group per observed
-/// marginal with `s_r` given by `weights` (aligned index-for-index with
-/// `observed`). Data-independent — exact cells are computed at bind time.
-fn marginals_strategy(
-    d: usize,
-    observed: Vec<AttrMask>,
-    targets: Vec<AttrMask>,
-    weights: Vec<f64>,
-) -> Result<MarginalsStrategy, CoreError> {
-    if weights.len() != observed.len() {
-        return Err(CoreError::Shape {
-            context: "marginals_strategy weights",
-            expected: observed.len(),
-            actual: weights.len(),
-        });
-    }
-    let space = CoefficientSpace::from_marginals(d, &observed);
-    let op = ObservationOperator::new(&space, &observed)?;
-    let specs: Vec<GroupSpec> = weights.iter().map(|&s| GroupSpec { c: 1.0, s }).collect();
-    let mut row_groups = Vec::new();
-    for (g, m) in observed.iter().enumerate() {
-        row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
-    }
-    Ok(MarginalsStrategy {
-        targets,
-        space,
-        op,
-        specs,
-        row_groups,
-    })
 }
 
 #[cfg(test)]

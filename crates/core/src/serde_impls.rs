@@ -5,10 +5,13 @@
 //! deduplicated in-domain workloads — and deserialization must re-enter
 //! through the validating constructors instead of bypassing them.
 //!
-//! Wire format (JSON via the workspace's `serde_json`):
+//! A [`SessionRelease`] has one wire encoding, shared by the service's
+//! responses and the CLI's `--json` documents (JSON via the workspace's
+//! `serde_json`):
 //!
 //! ```json
 //! {
+//!   "seed": 7,
 //!   "label": "F+",
 //!   "achieved_epsilon": 1.0,
 //!   "predicted_variance": 42.5,
@@ -17,7 +20,10 @@
 //! }
 //! ```
 //!
-//! Attribute masks travel as their `u64` bit patterns.
+//! A range release carries `"ranges": [..counts..]` in place of
+//! `"answers"`. Seeds and attribute masks travel as their `u64` values (see
+//! [`u64_value`]); every `f64` renders exactly, so a served release is
+//! byte-comparable to an in-process one.
 //!
 //! [`Plan`] documents additionally carry the solved budgets, the privacy
 //! parameters and the variance predictions, so a compiled plan can be
@@ -25,12 +31,12 @@
 //! operator from the spec and re-validates the shipped budgets (see the
 //! [`Deserialize`] impl for [`Plan`]).
 
-use crate::api::{Plan, WorkloadSpec};
+use crate::api::{Answers, Plan, SessionRelease, WorkloadSpec};
 use crate::cluster::{CentroidSearch, ClusterConfig};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::range::{RangeStrategy, RangeWorkload};
-use crate::release::{Release, StrategyKind};
+use crate::release::StrategyKind;
 use crate::strategy::Budgeting;
 use crate::workload::Workload;
 use crate::{
@@ -117,9 +123,10 @@ impl Deserialize for MarginalTable {
     }
 }
 
-impl Serialize for Release {
+impl Serialize for SessionRelease {
     fn serialize_value(&self) -> Value {
-        Value::Object(vec![
+        let mut fields = vec![
+            ("seed".into(), u64_value(self.seed)),
             ("label".into(), self.label.serialize_value()),
             (
                 "achieved_epsilon".into(),
@@ -130,20 +137,12 @@ impl Serialize for Release {
                 self.predicted_variance.serialize_value(),
             ),
             ("group_budgets".into(), self.group_budgets.serialize_value()),
-            ("answers".into(), self.answers.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for Release {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        Ok(Release {
-            label: String::deserialize_value(field(value, "label")?)?,
-            achieved_epsilon: f64::deserialize_value(field(value, "achieved_epsilon")?)?,
-            predicted_variance: f64::deserialize_value(field(value, "predicted_variance")?)?,
-            group_budgets: Vec::<f64>::deserialize_value(field(value, "group_budgets")?)?,
-            answers: Vec::<MarginalTable>::deserialize_value(field(value, "answers")?)?,
-        })
+        ];
+        fields.push(match &self.answers {
+            Answers::Marginals(tables) => ("answers".into(), tables.serialize_value()),
+            Answers::Ranges(counts) => ("ranges".into(), counts.serialize_value()),
+        });
+        Value::Object(fields)
     }
 }
 
@@ -513,17 +512,48 @@ mod tests {
             .compile()
             .unwrap();
         let session = Session::bind(&plan, &t).unwrap();
-        let r = session.release(1).unwrap().into_release().unwrap();
+        let r = session.release(1).unwrap();
         let v = r.serialize_value();
-        let back = Release::deserialize_value(&v).unwrap();
-        assert_eq!(back.label, r.label);
-        assert_eq!(back.group_budgets, r.group_budgets);
-        assert_eq!(back.answers.len(), r.answers.len());
-        for (a, b) in back.answers.iter().zip(&r.answers) {
+        // Every field reads back through the validating deserializers.
+        let read = |name: &str| field(&v, name).unwrap();
+        assert_eq!(u64_from(read("seed"), "seed").unwrap(), 1);
+        assert_eq!(String::deserialize_value(read("label")).unwrap(), r.label);
+        assert_eq!(
+            f64::deserialize_value(read("achieved_epsilon")).unwrap(),
+            r.achieved_epsilon
+        );
+        assert_eq!(
+            f64::deserialize_value(read("predicted_variance")).unwrap(),
+            r.predicted_variance
+        );
+        assert_eq!(
+            Vec::<f64>::deserialize_value(read("group_budgets")).unwrap(),
+            r.group_budgets
+        );
+        let back = Vec::<MarginalTable>::deserialize_value(read("answers")).unwrap();
+        let answers = r.answers.marginals().unwrap();
+        assert_eq!(back.len(), answers.len());
+        for (a, b) in back.iter().zip(answers) {
             assert_eq!(a.mask(), b.mask());
             assert_eq!(a.values(), b.values());
         }
         assert!(to_json(&r).contains("\"answers\""));
+
+        // Range releases carry their counts under "ranges".
+        let w = crate::range::RangeWorkload::all_prefixes(8).unwrap();
+        let plan = PlanBuilder::ranges(w, crate::range::RangeStrategy::Wavelet)
+            .compile()
+            .unwrap();
+        let r = Session::bind_histogram(&plan, &[1.0; 8])
+            .unwrap()
+            .release(2)
+            .unwrap();
+        let v = r.serialize_value();
+        assert!(v.get_field("answers").is_none());
+        assert_eq!(
+            Vec::<f64>::deserialize_value(field(&v, "ranges").unwrap()).unwrap(),
+            r.answers.ranges().unwrap()
+        );
     }
 
     #[test]
@@ -566,7 +596,8 @@ mod tests {
         assert!(Workload::deserialize_value(&bad).is_err());
 
         // Missing fields are reported.
-        assert!(Release::deserialize_value(&Value::Object(vec![])).is_err());
+        assert!(MarginalTable::deserialize_value(&Value::Object(vec![])).is_err());
+        assert!(Plan::deserialize_value(&Value::Object(vec![])).is_err());
         // Negative / fractional masks are rejected.
         assert!(AttrMask::deserialize_value(&Value::Number(-1.0)).is_err());
         assert!(AttrMask::deserialize_value(&Value::Number(1.5)).is_err());

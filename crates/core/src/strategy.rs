@@ -1,27 +1,33 @@
-//! The unified strategy layer: one noise/recovery engine for every release
-//! pipeline in this crate.
+//! The strategy layer: one object per strategy, and the Steps 2–3 shared
+//! by all of them.
 //!
-//! Before this module existed the paper's Figure-3 pipeline was implemented
-//! three separate times — a dense-matrix path ([`crate::framework`]), a
-//! structured Fourier marginal path ([`crate::release`]) and a bespoke
-//! range-query path ([`crate::range`]) — each with its own budget solve,
-//! noise loop and recovery. [`StrategyOperator`] abstracts what actually
-//! differs between strategies:
+//! A strategy of the paper's Figure-3 pipeline is one `StrategyOperator`:
 //!
-//! 1. the **group structure** (`C_r`, `s_r` per group and a group id per
-//!    observation row) feeding the Step-2 budget optimizer of `dp-opt`, and
-//! 2. the **recovery map** from noisy observations back to workload
+//! 1. its **group structure** (`C_r`, `s_r` per group and a group id per
+//!    observation row), which feeds the Step-2 budget optimizer of `dp-opt`;
+//! 2. its **observations** `z = S·x` of a data vector, and the sparse
+//!    column `S[·, j]` that a one-record delta at cell `j` adds to them;
+//! 3. its **recovery map** from noisy observations back to workload
 //!    answers — generalized least squares, carried out in diagonal
 //!    Fourier-coefficient space (marginal strategies, Section 4.3), in
 //!    diagonal Haar-coefficient space (identity, tree and wavelet range
 //!    strategies), or by matrix-free conjugate gradients over a
-//!    [`dp_linalg::LinearOperator`] (the sketch range strategy).
+//!    [`dp_linalg::LinearOperator`] (the sketch range strategy);
+//! 4. its **per-query variance prediction** at given per-group noise
+//!    variances.
 //!
-//! [`ReleaseEngine`] owns everything shared: solving for uniform/optimal
-//! budgets, validating the achieved ε (Proposition 3.1), calibrating and
-//! drawing noise (parallelized over observation chunks with deterministic
-//! per-chunk substreams), and delegating recovery to the strategy.
+//! The marginal strategies live in [`crate::release`] and the range
+//! strategies in [`crate::range`]. Everything else is shared and lives
+//! here: solving for uniform/optimal budgets (`solve_budgets`), the
+//! achieved ε of a budget vector (Proposition 3.1, `achieved_epsilon`),
+//! and one release step that re-checks feasibility, draws calibrated noise
+//! (parallelized over observation chunks with deterministic per-chunk
+//! substreams) and hands the noisy rows to the strategy's recovery.
+//! [`crate::api::Plan`] holds one strategy object and drives every release
+//! of it through that step.
 
+use crate::api::Answers;
+use crate::cluster::Clustering;
 use crate::CoreError;
 use dp_mech::{
     add_gaussian_into, add_laplace_into, GaussianMechanism, LaplaceMechanism, Neighboring,
@@ -34,7 +40,7 @@ use dp_opt::budget::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Noise-budget allocation mode (Step 2 of the framework).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,69 +51,151 @@ pub enum Budgeting {
     Optimal,
 }
 
-/// A strategy, reduced to exactly what the shared engine cannot provide:
-/// its group structure and its recovery map.
-///
-/// Implementations in this crate: the four marginal strategies of
-/// [`crate::release`] (identity, workload, Fourier, cluster) and the
-/// operator-backed range strategies of [`crate::range`].
-pub trait StrategyOperator {
-    /// What a recovery produces (consistent marginal tables for marginal
-    /// workloads, plain answer vectors for range workloads).
-    type Answer;
-
-    /// Number of observation rows `m` (rows of the strategy matrix `S`).
-    fn num_rows(&self) -> usize;
-
+/// One compiled strategy: everything the shared release step cannot
+/// provide (see the module docs). Implemented by the marginal strategies
+/// of [`crate::release`] and the range strategies of [`crate::range`].
+pub(crate) trait StrategyOperator {
     /// Per-group `(C_r, s_r)` for the budget optimizer, in group order.
     fn group_specs(&self) -> &[GroupSpec];
 
-    /// Group id of each observation row (`len == num_rows()`, values index
+    /// Group id of each observation row (one per row of `S`; values index
     /// into [`StrategyOperator::group_specs`]).
     fn row_groups(&self) -> &[u32];
+
+    /// Number of data cells (columns of `S`): `2^d` for a marginal
+    /// strategy, the histogram length for a range strategy.
+    fn domain(&self) -> usize;
+
+    /// The exact observations `z = S·x` of a data vector of length
+    /// [`StrategyOperator::domain`] (the caller checks the length).
+    fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError>;
+
+    /// `z += delta · S[·, cell]` for `cell < domain()`: the sparse column a
+    /// one-record delta adds to the observations, in `O(|column|)`.
+    fn add_column(&self, z: &mut [f64], cell: usize, delta: f64);
 
     /// Recovers workload answers from noisy observations.
     ///
     /// `group_weights[r]` is the GLS weight (inverse noise variance) of
     /// group `r`'s rows; groups with budget 0 carry weight 0 and were not
-    /// released — the engine zeroes their entries of `noisy` before the
-    /// call, so even a weights-unaware recovery cannot leak exact values.
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError>;
-}
+    /// released — the release step zeroes their entries of `noisy` before
+    /// the call, so even a weights-unaware recovery cannot leak exact
+    /// values.
+    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Answers, CoreError>;
 
-impl<T: StrategyOperator + ?Sized> StrategyOperator for Box<T> {
-    type Answer = T::Answer;
+    /// Per-query output variances, in workload order, given per-group noise
+    /// variances (`∞` for a withheld group).
+    fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError>;
 
-    fn num_rows(&self) -> usize {
-        (**self).num_rows()
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        (**self).group_specs()
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        (**self).row_groups()
-    }
-
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        (**self).recover(noisy, group_weights)
+    /// The greedy clustering, for the cluster strategy.
+    fn clustering(&self) -> Option<&Clustering> {
+        None
     }
 }
 
-/// One release produced by the shared engine.
-#[derive(Debug, Clone)]
-pub struct EngineRelease<A> {
-    /// The recovered workload answers.
-    pub answer: A,
-    /// Per-group noise budgets `η_r` actually used.
-    pub group_budgets: Vec<f64>,
-    /// Predicted total output variance of the *initial* recovery `R₀` (the
-    /// Step-2 objective times the mechanism constant); the GLS recovery of
-    /// Step 3 can only improve on it.
-    pub predicted_variance: f64,
-    /// Achieved ε implied by the budgets (must be ≤ the requested ε).
-    pub achieved_epsilon: f64,
+/// A compiled strategy as a plan holds it: shared, so a plan re-solved at
+/// another privacy level reuses it.
+pub(crate) type SharedStrategy = Arc<dyn StrategyOperator + Send + Sync>;
+
+/// Checks a strategy's internal consistency: every row's group id names
+/// one of its groups.
+pub(crate) fn check_strategy(strategy: &dyn StrategyOperator) -> Result<(), CoreError> {
+    let groups = strategy.group_specs().len();
+    match strategy
+        .row_groups()
+        .iter()
+        .find(|&&g| g as usize >= groups)
+    {
+        Some(&bad) => Err(CoreError::Shape {
+            context: "strategy group id",
+            expected: groups,
+            actual: bad as usize,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Solves Step 2 for a privacy level and budgeting mode over a strategy's
+/// group specs (no noise drawn).
+pub(crate) fn solve_budgets(
+    specs: &[GroupSpec],
+    privacy: PrivacyLevel,
+    budgeting: Budgeting,
+) -> Result<BudgetSolution, CoreError> {
+    privacy.validate()?;
+    let eps = privacy.epsilon();
+    let sol = match (privacy, budgeting) {
+        (PrivacyLevel::Pure { .. }, Budgeting::Uniform) => uniform_group_budgets(specs, eps)?,
+        (PrivacyLevel::Pure { .. }, Budgeting::Optimal) => optimal_group_budgets(specs, eps)?,
+        (PrivacyLevel::Approx { .. }, Budgeting::Uniform) => {
+            uniform_group_budgets_gaussian(specs, eps)?
+        }
+        (PrivacyLevel::Approx { .. }, Budgeting::Optimal) => {
+            optimal_group_budgets_gaussian(specs, eps)?
+        }
+    };
+    Ok(sol)
+}
+
+/// The ε achieved by concrete group budgets: every column of a grouped
+/// strategy has exactly one entry of magnitude `C_r` per group, so the
+/// pure-DP constraint value is `Σ_r C_r η_r` and the approximate-DP one is
+/// `√(Σ_r C_r² η_r²)` (Proposition 3.1).
+pub(crate) fn achieved_epsilon(specs: &[GroupSpec], privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
+    match privacy {
+        PrivacyLevel::Pure { .. } => specs.iter().zip(budgets).map(|(g, &e)| g.c * e).sum(),
+        PrivacyLevel::Approx { .. } => specs
+            .iter()
+            .zip(budgets)
+            .map(|(g, &e)| g.c * g.c * e * e)
+            .sum::<f64>()
+            .sqrt(),
+    }
+}
+
+/// Writes the budgets noise is drawn at — the solved `η_r` divided by the
+/// neighbouring sensitivity factor — into `budgets`, and returns the ε
+/// they achieve. Fails when the solution does not fit the specs, or when
+/// that ε exceeds the requested one: a plan checks this once when it is
+/// built, and every release checks it again before drawing noise.
+pub(crate) fn feasible_budgets_into(
+    specs: &[GroupSpec],
+    privacy: PrivacyLevel,
+    solution: &BudgetSolution,
+    neighboring: Neighboring,
+    budgets: &mut Vec<f64>,
+) -> Result<f64, CoreError> {
+    if solution.group_budgets.len() != specs.len() {
+        return Err(CoreError::Shape {
+            context: "budget solution",
+            expected: specs.len(),
+            actual: solution.group_budgets.len(),
+        });
+    }
+    let factor = neighboring.sensitivity_factor();
+    budgets.clear();
+    budgets.extend(solution.group_budgets.iter().map(|&e| e / factor));
+    let achieved = achieved_epsilon(specs, privacy, budgets) * factor;
+    if achieved > privacy.epsilon() * (1.0 + 1e-9) {
+        return Err(CoreError::InfeasibleBudgets {
+            achieved,
+            requested: privacy.epsilon(),
+        });
+    }
+    Ok(achieved)
+}
+
+/// Predicted total output variance of the *initial* recovery `R₀`: the
+/// Step-2 objective times the mechanism constant, scaled by the square of
+/// the neighbouring factor. The GLS recovery of Step 3 can only improve on
+/// it.
+pub(crate) fn predicted_variance(
+    privacy: PrivacyLevel,
+    solution: &BudgetSolution,
+    neighboring: Neighboring,
+) -> f64 {
+    let factor = neighboring.sensitivity_factor();
+    mechanism_factor(privacy) * solution.objective * factor * factor
 }
 
 /// Noise chunk size: one RNG substream (and one unit of parallel work) per
@@ -117,205 +205,101 @@ pub struct EngineRelease<A> {
 /// implementation).
 pub const NOISE_CHUNK: usize = 4096;
 
-/// The shared Steps 2–3 driver over any [`StrategyOperator`].
-#[derive(Debug, Clone)]
-pub struct ReleaseEngine<S> {
-    strategy: S,
+/// Runs Step 3 for one release at an already solved budget allocation (a
+/// plan solves once, when it is built): re-checks feasibility, adds
+/// calibrated per-row noise to `observations` (the exact strategy answers
+/// `z = S x`), then runs the strategy's GLS recovery. Returns the answers
+/// and the per-group budgets the noise was drawn at.
+///
+/// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
+/// [`StdRng`] substream seeded sequentially from `rng` — so the output is
+/// deterministic in `rng`'s seed regardless of how many threads the chunks
+/// land on. Scratch buffers come from a process-wide pool, so K releases
+/// (e.g. a `release_batch` fan-out) allocate O(workers) buffers rather than
+/// O(K).
+pub(crate) fn noise_and_recover<R: Rng + ?Sized>(
+    strategy: &dyn StrategyOperator,
+    observations: &[f64],
+    privacy: PrivacyLevel,
+    solution: &BudgetSolution,
+    neighboring: Neighboring,
+    rng: &mut R,
+) -> Result<(Answers, Vec<f64>), CoreError> {
+    let mut scratch = acquire_scratch();
+    let out = noise_and_recover_into(
+        strategy,
+        observations,
+        privacy,
+        solution,
+        neighboring,
+        rng,
+        &mut scratch,
+    );
+    recycle_scratch(scratch);
+    out
 }
 
-impl<S: StrategyOperator + Sync> ReleaseEngine<S> {
-    /// Wraps a strategy, validating its internal consistency.
-    pub fn new(strategy: S) -> Result<Self, CoreError> {
-        let rows = strategy.num_rows();
-        if strategy.row_groups().len() != rows {
-            return Err(CoreError::Shape {
-                context: "engine row_groups",
-                expected: rows,
-                actual: strategy.row_groups().len(),
-            });
-        }
-        let groups = strategy.group_specs().len();
-        if let Some(&bad) = strategy
-            .row_groups()
-            .iter()
-            .find(|&&g| g as usize >= groups)
-        {
-            return Err(CoreError::Shape {
-                context: "engine group id",
-                expected: groups,
-                actual: bad as usize,
-            });
-        }
-        Ok(ReleaseEngine { strategy })
+/// [`noise_and_recover`] over caller-provided scratch: the noisy-observation
+/// buffer, substream seeds, budgets, weights and noise parameters are all
+/// written into `scratch`'s reusable arenas, so only the recovered answers
+/// (the output) and a copy of the budgets are freshly allocated.
+fn noise_and_recover_into<R: Rng + ?Sized>(
+    strategy: &dyn StrategyOperator,
+    observations: &[f64],
+    privacy: PrivacyLevel,
+    solution: &BudgetSolution,
+    neighboring: Neighboring,
+    rng: &mut R,
+    scratch: &mut Scratch,
+) -> Result<(Answers, Vec<f64>), CoreError> {
+    let row_groups = strategy.row_groups();
+    if observations.len() != row_groups.len() {
+        return Err(CoreError::Shape {
+            context: "release observations",
+            expected: row_groups.len(),
+            actual: observations.len(),
+        });
     }
+    // Defense in depth: re-derive the achieved ε and fail loudly if the
+    // budgets ever stopped being feasible.
+    feasible_budgets_into(
+        strategy.group_specs(),
+        privacy,
+        solution,
+        neighboring,
+        &mut scratch.budgets,
+    )?;
 
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> &S {
-        &self.strategy
-    }
+    // Step "2.5": per-row noise at the group budgets — fused into one
+    // in-place pass over the scratch buffer, chunk-parallel.
+    scratch.params.compute_into(privacy, &scratch.budgets);
+    perturb_observations_into(
+        observations,
+        row_groups,
+        &scratch.params,
+        rng,
+        &mut scratch.noisy,
+        &mut scratch.seeds,
+    );
 
-    /// Solves Step 2 for a privacy level and budgeting mode (no noise drawn).
-    pub fn solve_budgets(
-        &self,
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-    ) -> Result<BudgetSolution, CoreError> {
-        privacy.validate()?;
-        let eps = privacy.epsilon();
-        let specs = self.strategy.group_specs();
-        let sol = match (privacy, budgeting) {
-            (PrivacyLevel::Pure { .. }, Budgeting::Uniform) => uniform_group_budgets(specs, eps)?,
-            (PrivacyLevel::Pure { .. }, Budgeting::Optimal) => optimal_group_budgets(specs, eps)?,
-            (PrivacyLevel::Approx { .. }, Budgeting::Uniform) => {
-                uniform_group_budgets_gaussian(specs, eps)?
-            }
-            (PrivacyLevel::Approx { .. }, Budgeting::Optimal) => {
-                optimal_group_budgets_gaussian(specs, eps)?
-            }
-        };
-        Ok(sol)
-    }
-
-    /// The ε achieved by concrete group budgets: every column of a grouped
-    /// strategy has exactly one entry of magnitude `C_r` per group, so the
-    /// pure-DP constraint value is `Σ_r C_r η_r` and the approximate-DP one
-    /// is `√(Σ_r C_r² η_r²)` (Proposition 3.1).
-    pub fn achieved_epsilon(&self, privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
-        let specs = self.strategy.group_specs();
-        match privacy {
-            PrivacyLevel::Pure { .. } => specs.iter().zip(budgets).map(|(g, &e)| g.c * e).sum(),
-            PrivacyLevel::Approx { .. } => specs
-                .iter()
-                .zip(budgets)
-                .map(|(g, &e)| g.c * g.c * e * e)
-                .sum::<f64>()
-                .sqrt(),
+    // Step 3: the strategy's recovery, weighted by inverse variances.
+    scratch.weights.clear();
+    scratch.weights.extend(scratch.budgets.iter().map(|&eta| {
+        if eta > 0.0 {
+            1.0 / noise_variance(privacy, eta)
+        } else {
+            0.0
         }
-    }
-
-    /// Runs Step 3 for one release at an already solved budget allocation
-    /// (see [`ReleaseEngine::solve_budgets`]; a plan solves once at compile
-    /// time): calibrated per-row noise on `observations` (the exact strategy
-    /// answers `z = S x`), then the strategy's GLS recovery. Repeated
-    /// releases from one plan therefore draw noise at exactly the budgets
-    /// the plan published.
-    ///
-    /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
-    /// [`StdRng`] substream seeded sequentially from `rng` — so the output
-    /// is deterministic in `rng`'s seed regardless of how many threads the
-    /// chunks land on.
-    ///
-    /// Scratch buffers come from a process-wide pool, so K releases (e.g.
-    /// a `release_batch` fan-out) allocate O(workers) buffers rather than
-    /// O(K); callers that want explicit control use
-    /// [`ReleaseEngine::release_into`].
-    pub fn release_with_solution<R: Rng + ?Sized>(
-        &self,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        solution: &BudgetSolution,
-        neighboring: Neighboring,
-        rng: &mut R,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        let mut scratch = acquire_scratch();
-        let out = self.release_into(
-            observations,
-            privacy,
-            solution,
-            neighboring,
-            rng,
-            &mut scratch,
-        );
-        recycle_scratch(scratch);
-        out
-    }
-
-    /// [`ReleaseEngine::release_with_solution`] over caller-provided
-    /// scratch: the noisy-observation buffer, substream seeds, budgets,
-    /// weights, and noise parameters are all written into `scratch`'s
-    /// reusable arenas, so a hot loop that holds one [`ReleaseScratch`] per
-    /// worker performs no per-release buffer allocations in the engine
-    /// (only the recovered answer itself is freshly allocated — it is the
-    /// output).
-    pub fn release_into<R: Rng + ?Sized>(
-        &self,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        solution: &BudgetSolution,
-        neighboring: Neighboring,
-        rng: &mut R,
-        scratch: &mut ReleaseScratch,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        if observations.len() != self.strategy.num_rows() {
-            return Err(CoreError::Shape {
-                context: "engine observations",
-                expected: self.strategy.num_rows(),
-                actual: observations.len(),
-            });
-        }
-        if solution.group_budgets.len() != self.strategy.group_specs().len() {
-            return Err(CoreError::Shape {
-                context: "engine budget solution",
-                expected: self.strategy.group_specs().len(),
-                actual: solution.group_budgets.len(),
-            });
-        }
-        let factor = neighboring.sensitivity_factor();
-        scratch.budgets.clear();
-        scratch
-            .budgets
-            .extend(solution.group_budgets.iter().map(|&e| e / factor));
-
-        // Defense in depth: re-derive the achieved ε and fail loudly if the
-        // optimizer ever produced an infeasible allocation.
-        let achieved = self.achieved_epsilon(privacy, &scratch.budgets) * factor;
-        if achieved > privacy.epsilon() * (1.0 + 1e-9) {
-            return Err(CoreError::InfeasibleBudgets {
-                achieved,
-                requested: privacy.epsilon(),
-            });
-        }
-        let predicted_variance = mechanism_factor(privacy) * solution.objective * factor * factor;
-
-        // Step "2.5": per-row noise at the group budgets — fused into one
-        // in-place pass over the scratch buffer, chunk-parallel.
-        scratch.params.compute_into(privacy, &scratch.budgets);
-        perturb_observations_into(
-            observations,
-            self.strategy.row_groups(),
-            &scratch.params,
-            rng,
-            &mut scratch.noisy,
-            &mut scratch.seeds,
-        );
-
-        // Step 3: the strategy's recovery, weighted by inverse variances.
-        scratch.weights.clear();
-        scratch.weights.extend(scratch.budgets.iter().map(|&eta| {
-            if eta > 0.0 {
-                1.0 / noise_variance(privacy, eta)
-            } else {
-                0.0
-            }
-        }));
-        let answer = self.strategy.recover(&scratch.noisy, &scratch.weights)?;
-
-        Ok(EngineRelease {
-            answer,
-            group_budgets: scratch.budgets.clone(),
-            predicted_variance,
-            achieved_epsilon: achieved,
-        })
-    }
+    }));
+    let answers = strategy.recover(&scratch.noisy, &scratch.weights)?;
+    Ok((answers, scratch.budgets.clone()))
 }
 
 /// Reusable buffers for one in-flight release: the noisy-observation vector
 /// (`m` rows), the per-chunk substream seeds, and the per-group budget,
-/// weight, and noise-parameter vectors. Acquire one per worker and pass it
-/// to [`ReleaseEngine::release_into`] to make repeated releases
-/// allocation-free inside the engine.
+/// weight, and noise-parameter vectors.
 #[derive(Debug, Default)]
-pub struct ReleaseScratch {
+struct Scratch {
     budgets: Vec<f64>,
     weights: Vec<f64>,
     params: NoiseParams,
@@ -323,27 +307,19 @@ pub struct ReleaseScratch {
     seeds: Vec<u64>,
 }
 
-impl ReleaseScratch {
-    /// An empty scratch arena; buffers grow on first use and are reused
-    /// afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Process-wide pool backing [`ReleaseEngine::release_with_solution`]. A
+/// Process-wide pool backing [`noise_and_recover`]. A
 /// plain mutexed free-list (one uncontended lock/unlock pair per release,
 /// trivial next to the release itself) rather than a thread-local: rayon
 /// workers blocked in a parallel section can steal and run another
 /// release's closure on the same OS thread, which would alias a
 /// thread-local arena mid-release.
-static SCRATCH_POOL: Mutex<Vec<ReleaseScratch>> = Mutex::new(Vec::new());
+static SCRATCH_POOL: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 
 /// Upper bound on pooled arenas, so a one-off wide fan-out cannot pin an
 /// unbounded amount of buffer memory for the life of the process.
 const SCRATCH_POOL_CAP: usize = 64;
 
-fn acquire_scratch() -> ReleaseScratch {
+fn acquire_scratch() -> Scratch {
     SCRATCH_POOL
         .lock()
         .map(|mut pool| pool.pop())
@@ -352,7 +328,7 @@ fn acquire_scratch() -> ReleaseScratch {
         .unwrap_or_default()
 }
 
-fn recycle_scratch(scratch: ReleaseScratch) {
+fn recycle_scratch(scratch: Scratch) {
     if let Ok(mut pool) = SCRATCH_POOL.lock() {
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push(scratch);
@@ -440,7 +416,7 @@ impl NoiseParams {
 /// chunk-parallel with deterministic per-chunk substreams. Rows of groups
 /// with budget 0 are **withheld** — zeroed, not passed through — so a
 /// recovery that forgets to honour its zero weights can never leak exact
-/// private values (the engine enforces this, not each plugin).
+/// private values (the release step enforces this, not each strategy).
 ///
 /// Public so oracle tests can replay the exact noise a release drew: the
 /// chunk seeds are the first `⌈m/NOISE_CHUNK⌉` `u64`s of `rng` (at least
@@ -448,7 +424,7 @@ impl NoiseParams {
 /// [`StdRng`] seeded with its seed.
 ///
 /// This is a convenience wrapper over [`perturb_observations_into`] that
-/// allocates fresh buffers; the engine's hot path reuses scratch instead.
+/// allocates fresh buffers; the release hot path reuses scratch instead.
 pub fn perturb_observations<R: Rng + ?Sized>(
     observations: &[f64],
     row_groups: &[u32],
@@ -579,12 +555,6 @@ mod tests {
     }
 
     impl StrategyOperator for Echo {
-        type Answer = Vec<f64>;
-
-        fn num_rows(&self) -> usize {
-            self.rows.len()
-        }
-
         fn group_specs(&self) -> &[GroupSpec] {
             &self.specs
         }
@@ -593,8 +563,28 @@ mod tests {
             &self.rows
         }
 
-        fn recover(&self, noisy: &[f64], _w: &[f64]) -> Result<Vec<f64>, CoreError> {
-            Ok(noisy.to_vec())
+        fn domain(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn observe(&self, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
+            Ok(counts.to_vec())
+        }
+
+        fn add_column(&self, z: &mut [f64], cell: usize, delta: f64) {
+            z[cell] += delta;
+        }
+
+        fn recover(&self, noisy: &[f64], _w: &[f64]) -> Result<Answers, CoreError> {
+            Ok(Answers::Ranges(noisy.to_vec()))
+        }
+
+        fn query_variances(&self, group_sigma2: &[f64]) -> Result<Vec<f64>, CoreError> {
+            Ok(self
+                .rows
+                .iter()
+                .map(|&g| group_sigma2[g as usize])
+                .collect())
         }
     }
 
@@ -605,28 +595,41 @@ mod tests {
         }
     }
 
+    /// One echo release: the answers and the budgets they were drawn at.
+    struct Echoed {
+        answer: Vec<f64>,
+        group_budgets: Vec<f64>,
+    }
+
+    fn echoed((answers, group_budgets): (Answers, Vec<f64>)) -> Echoed {
+        Echoed {
+            answer: answers.into_ranges().expect("echo answers are plain rows"),
+            group_budgets,
+        }
+    }
+
     /// Solves the budgets, then draws one release from `seed`.
     fn release(
-        engine: &ReleaseEngine<Echo>,
+        strategy: &Echo,
         obs: &[f64],
         privacy: PrivacyLevel,
         budgeting: Budgeting,
         neighboring: Neighboring,
         seed: u64,
-    ) -> Result<EngineRelease<Vec<f64>>, CoreError> {
-        let solution = engine.solve_budgets(privacy, budgeting)?;
+    ) -> Result<Echoed, CoreError> {
+        let solution = solve_budgets(strategy.group_specs(), privacy, budgeting)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        engine.release_with_solution(obs, privacy, &solution, neighboring, &mut rng)
+        noise_and_recover(strategy, obs, privacy, &solution, neighboring, &mut rng).map(echoed)
     }
 
     #[test]
     fn engine_releases_are_deterministic_per_seed() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
+        let strategy = echo();
         let obs = vec![10.0, 20.0, 30.0, 40.0];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
         let run = |seed: u64| {
             release(
-                &engine,
+                &strategy,
                 &obs,
                 p,
                 Budgeting::Optimal,
@@ -645,26 +648,45 @@ mod tests {
 
     #[test]
     fn achieved_epsilon_is_tight_and_validated() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
+        let strategy = echo();
+        let p = PrivacyLevel::Pure { epsilon: 0.7 };
         let r = release(
-            &engine,
+            &strategy,
             &[0.0; 4],
-            PrivacyLevel::Pure { epsilon: 0.7 },
+            p,
             Budgeting::Optimal,
             Neighboring::AddRemove,
             1,
         )
         .unwrap();
-        assert!((r.achieved_epsilon - 0.7).abs() < 1e-9);
-        assert!(r.predicted_variance > 0.0);
+        assert!((achieved_epsilon(&strategy.specs, p, &r.group_budgets) - 0.7).abs() < 1e-9);
+        let solution = solve_budgets(&strategy.specs, p, Budgeting::Optimal).unwrap();
+        assert!(predicted_variance(p, &solution, Neighboring::AddRemove) > 0.0);
+        // An infeasible allocation is refused before any noise is drawn.
+        let inflated = BudgetSolution {
+            group_budgets: solution.group_budgets.iter().map(|e| 2.0 * e).collect(),
+            objective: solution.objective,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(matches!(
+            noise_and_recover(
+                &strategy,
+                &[0.0; 4],
+                p,
+                &inflated,
+                Neighboring::AddRemove,
+                &mut rng
+            ),
+            Err(CoreError::InfeasibleBudgets { .. })
+        ));
     }
 
     #[test]
     fn shape_mismatches_are_rejected() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
+        let strategy = echo();
         assert!(matches!(
             release(
-                &engine,
+                &strategy,
                 &[1.0; 3],
                 PrivacyLevel::Pure { epsilon: 1.0 },
                 Budgeting::Uniform,
@@ -677,18 +699,18 @@ mod tests {
             specs: vec![GroupSpec { c: 1.0, s: 1.0 }],
             rows: vec![0, 1],
         };
-        assert!(ReleaseEngine::new(bad).is_err());
+        assert!(check_strategy(&bad).is_err());
+        assert!(check_strategy(&strategy).is_ok());
     }
 
     #[test]
     fn zero_weight_groups_are_withheld_not_leaked() {
-        let engine = ReleaseEngine::new(Echo {
+        let strategy = Echo {
             specs: vec![GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 0.0 }],
             rows: vec![0, 0, 1, 1],
-        })
-        .unwrap();
+        };
         let r = release(
-            &engine,
+            &strategy,
             &[5.0, 6.0, 7.0, 8.0],
             PrivacyLevel::Pure { epsilon: 1.0 },
             Budgeting::Optimal,
@@ -697,8 +719,8 @@ mod tests {
         )
         .unwrap();
         // Group 1 has zero recovery weight → budget 0 → its rows are
-        // zeroed by the engine, so even this weights-unaware echo recovery
-        // cannot leak the exact values 7.0/8.0.
+        // zeroed by the release step, so even this weights-unaware echo
+        // recovery cannot leak the exact values 7.0/8.0.
         assert_eq!(r.group_budgets[1], 0.0);
         assert_eq!(&r.answer[2..], &[0.0, 0.0]);
         assert_ne!(&r.answer[..2], &[5.0, 6.0]);
@@ -708,10 +730,10 @@ mod tests {
     fn scratch_reuse_is_byte_identical_to_fresh_buffers() {
         // Interleave releases with different seeds, observations, and
         // privacy levels through ONE reused scratch arena; each must match
-        // the pooled release_with_solution path bit-for-bit — proving no
-        // stale state survives between releases.
-        let engine = ReleaseEngine::new(echo()).unwrap();
-        let mut scratch = ReleaseScratch::new();
+        // the pooled noise_and_recover path bit-for-bit — proving no stale
+        // state survives between releases.
+        let strategy = echo();
+        let mut scratch = Scratch::default();
         let cases: [(u64, [f64; 4], PrivacyLevel); 4] = [
             (
                 1,
@@ -734,10 +756,11 @@ mod tests {
             (7, [0.0, 0.0, 0.0, 0.0], PrivacyLevel::Pure { epsilon: 0.3 }),
         ];
         for (seed, obs, privacy) in cases {
-            let solution = engine.solve_budgets(privacy, Budgeting::Optimal).unwrap();
+            let solution = solve_budgets(&strategy.specs, privacy, Budgeting::Optimal).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let reused = engine
-                .release_into(
+            let reused = echoed(
+                noise_and_recover_into(
+                    &strategy,
                     &obs,
                     privacy,
                     &solution,
@@ -745,15 +768,26 @@ mod tests {
                     &mut rng,
                     &mut scratch,
                 )
-                .unwrap();
+                .unwrap(),
+            );
             let mut rng = StdRng::seed_from_u64(seed);
-            let fresh = engine
-                .release_with_solution(&obs, privacy, &solution, Neighboring::AddRemove, &mut rng)
-                .unwrap();
+            let fresh = echoed(
+                noise_and_recover(
+                    &strategy,
+                    &obs,
+                    privacy,
+                    &solution,
+                    Neighboring::AddRemove,
+                    &mut rng,
+                )
+                .unwrap(),
+            );
             assert_eq!(reused.answer, fresh.answer);
             assert_eq!(reused.group_budgets, fresh.group_budgets);
-            assert_eq!(reused.achieved_epsilon, fresh.achieved_epsilon);
-            assert_eq!(reused.predicted_variance, fresh.predicted_variance);
+            assert_eq!(
+                achieved_epsilon(&strategy.specs, privacy, &reused.group_budgets),
+                achieved_epsilon(&strategy.specs, privacy, &fresh.group_budgets)
+            );
         }
     }
 
@@ -797,15 +831,19 @@ mod tests {
 
     #[test]
     fn replace_neighboring_halves_budgets() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
+        let strategy = echo();
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
         let run =
-            |n: Neighboring| release(&engine, &[0.0; 4], p, Budgeting::Uniform, n, 4).unwrap();
+            |n: Neighboring| release(&strategy, &[0.0; 4], p, Budgeting::Uniform, n, 4).unwrap();
         let add = run(Neighboring::AddRemove);
         let rep = run(Neighboring::Replace);
         for (a, b) in add.group_budgets.iter().zip(&rep.group_budgets) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
-        assert!((rep.predicted_variance - 4.0 * add.predicted_variance).abs() < 1e-9);
+        let solution = solve_budgets(&strategy.specs, p, Budgeting::Uniform).unwrap();
+        let variance = |n: Neighboring| predicted_variance(p, &solution, n);
+        assert!(
+            (variance(Neighboring::Replace) - 4.0 * variance(Neighboring::AddRemove)).abs() < 1e-9
+        );
     }
 }

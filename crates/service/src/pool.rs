@@ -257,6 +257,7 @@ fn open_session(plan: Arc<Plan>, dataset: Option<&Dataset>) -> Result<Session, S
 mod tests {
     use super::*;
     use dp_core::{CoreError, PlanBuilder, Schema, StrategyKind, Workload};
+    use serde::Serialize;
 
     fn builder() -> PlanBuilder {
         let schema = Schema::binary(3).unwrap();
@@ -308,8 +309,8 @@ mod tests {
         let a = entry.read().release_batch(&[7]).unwrap();
         let b = entry.read().release_batch(&[7]).unwrap();
         assert_eq!(
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&a[0])),
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&b[0])),
+            crate::protocol::render_line(&a[0].serialize_value()),
+            crate::protocol::render_line(&b[0].serialize_value()),
             "releases are seed-deterministic"
         );
         // The shared binding is read-only: it keeps no count vector, and

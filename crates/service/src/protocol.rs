@@ -58,7 +58,7 @@
 //! seed must never be rounded through an `f64`.
 
 use crate::error::ServiceError;
-use dp_core::api::{Answers, SessionRelease, WorkloadSpec};
+use dp_core::api::WorkloadSpec;
 use dp_core::serde_impls::{u64_from, u64_value};
 use dp_core::Budgeting;
 use dp_core::Plan;
@@ -609,34 +609,6 @@ pub fn response_to_result(value: Value) -> Result<Value, ServiceError> {
             "response is missing the `ok` field".into(),
         )),
     }
-}
-
-/// Wire encoding of one release: seed, accounting, and the answers
-/// (marginal tables or range counts). The numeric rendering is exact —
-/// `f64` values round-trip bit-for-bit through the workspace JSON shim —
-/// so served releases are byte-comparable to in-process ones.
-pub fn session_release_to_value(release: &SessionRelease) -> Value {
-    let mut fields = vec![
-        ("seed".into(), u64_value(release.seed)),
-        ("label".into(), Value::String(release.label.clone())),
-        (
-            "achieved_epsilon".into(),
-            Value::Number(release.achieved_epsilon),
-        ),
-        (
-            "predicted_variance".into(),
-            Value::Number(release.predicted_variance),
-        ),
-        (
-            "group_budgets".into(),
-            release.group_budgets.serialize_value(),
-        ),
-    ];
-    match &release.answers {
-        Answers::Marginals(tables) => fields.push(("answers".into(), tables.serialize_value())),
-        Answers::Ranges(counts) => fields.push(("ranges".into(), counts.serialize_value())),
-    }
-    Value::Object(fields)
 }
 
 #[cfg(test)]

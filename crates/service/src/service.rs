@@ -22,12 +22,12 @@ use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
 use crate::pool::{DataStore, Pool, Target};
-use crate::protocol::{ok_response, privacy_to_value, session_release_to_value, Request};
+use crate::protocol::{ok_response, privacy_to_value, Request};
 use crate::registry::Registry;
 use dp_core::api::SessionRelease;
 use dp_core::{Plan, PlanBuilder};
 use dp_mech::{compose_n, PrivacyLevel};
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// A privacy-budget-metered release service (see the module docs).
 pub struct DpService {
@@ -55,7 +55,7 @@ fn release_response(releases: &[SessionRelease], request_id: Option<&str>) -> Va
     }
     fields.push((
         "releases".into(),
-        Value::Array(releases.iter().map(session_release_to_value).collect()),
+        Value::Array(releases.iter().map(Serialize::serialize_value).collect()),
     ));
     ok_response(fields)
 }

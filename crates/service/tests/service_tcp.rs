@@ -9,8 +9,9 @@ use std::thread::JoinHandle;
 use dp_core::api::{Session, WorkloadSpec};
 use dp_core::{ContingencyTable, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
-use dp_service::protocol::{render_line, session_release_to_value};
+use dp_service::protocol::render_line;
 use dp_service::{Accountant, Auth, Client, DpService, Server, ServiceError, TcpTransport};
+use serde::Serialize;
 
 fn toy_table() -> ContingencyTable {
     ContingencyTable::from_indices(4, &[0, 1, 2, 3, 9, 15, 15])
@@ -71,7 +72,7 @@ fn served_releases_are_byte_identical_to_in_process_sessions() {
     );
     let local = Session::bind(plan, &toy_table()).unwrap();
     for (wire, &seed) in served.iter().zip(&seeds) {
-        let expected = render_line(&session_release_to_value(&local.release(seed).unwrap()));
+        let expected = render_line(&local.release(seed).unwrap().serialize_value());
         assert_eq!(
             render_line(wire),
             expected,

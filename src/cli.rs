@@ -78,9 +78,9 @@ pub struct ReleaseArgs {
     pub batch: usize,
     /// Post-process to non-negative integral marginals.
     pub nonnegative: bool,
-    /// Emit the full release (label, ε, budgets, answers) as a
-    /// machine-consumable JSON document per release instead of the
-    /// marginal list.
+    /// Emit the full release (seed, label, ε, budgets, answers) as a
+    /// machine-consumable JSON document per release — the encoding the
+    /// service answers with — instead of the marginal list.
     pub json: bool,
     /// Optional JSON output path.
     pub output: Option<String>,
@@ -804,6 +804,10 @@ pub fn privacy_level(epsilon: f64, delta: Option<f64>) -> PrivacyLevel {
     }
 }
 
+/// Seed of the synthetic dataset stand-ins the CLI loads (used whenever
+/// the real data files are absent), so every run sees the same table.
+pub const DATASET_SEED: u64 = 20130401;
+
 /// Compiles the data-independent plan for a parsed workload request.
 pub fn compile_plan(
     schema: &Schema,
@@ -850,18 +854,6 @@ pub fn load_dataset(
     let table = ContingencyTable::from_records(&schema, &records)
         .map_err(|e| CliError(format!("building table: {e}")))?;
     Ok((schema, table))
-}
-
-/// Serializes a full release — label, achieved ε, budgets and answers — as
-/// one machine-consumable JSON document (the `--json` output).
-pub fn release_to_json(release: &dp_core::Release) -> String {
-    serde_json::to_string_pretty(release).expect("release serialization is infallible")
-}
-
-/// Serializes a whole release batch as one JSON array (the `--json` output
-/// when `--batch > 1`).
-pub fn release_batch_to_json(releases: &[dp_core::Release]) -> String {
-    serde_json::to_string_pretty(releases).expect("release serialization is infallible")
 }
 
 /// Serializes a compiled plan as its shippable JSON document.
@@ -1008,6 +1000,7 @@ mod tests {
     #[test]
     fn release_json_document_is_parseable() {
         use dp_core::prelude::*;
+        use serde::{Deserialize, Value};
         let t = ContingencyTable::from_counts(vec![3.0, 1.0, 0.0, 2.0]);
         let w = Workload::new(2, vec![crate::core::AttrMask(0b11)]).unwrap();
         let plan = PlanBuilder::marginals(w, StrategyKind::Fourier)
@@ -1015,24 +1008,26 @@ mod tests {
             .compile()
             .unwrap();
         let session = Session::bind(&plan, &t).unwrap();
-        let release = session.release(4).unwrap().into_release().unwrap();
-        let doc = release_to_json(&release);
-        let back: dp_core::Release = serde_json::from_str(&doc).unwrap();
-        assert_eq!(back.label, release.label);
-        assert_eq!(back.answers.len(), 1);
-        assert_eq!(back.answers[0].values(), release.answers[0].values());
+        let release = session.release(4).unwrap();
+        let tables = release.answers.marginals().unwrap();
+        let answers = |doc: &Value| {
+            Vec::<MarginalTable>::deserialize_value(doc.get_field("answers").unwrap()).unwrap()
+        };
+        let doc = serde_json::to_string_pretty(&release).unwrap();
+        let back = serde_json::parse_value(&doc).unwrap();
+        assert_eq!(back.get_field("label").unwrap().as_str(), Some("F+"));
+        assert_eq!(back.get_field("seed").unwrap().as_f64(), Some(4.0));
+        let back = answers(&back);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].values(), tables[0].values());
 
         // Batches serialize as one JSON array of the same documents.
-        let batch: Vec<_> = session
-            .release_batch(&[4, 5])
-            .unwrap()
-            .into_iter()
-            .map(|r| r.into_release().unwrap())
-            .collect();
-        let arr = release_batch_to_json(&batch);
-        let back: Vec<dp_core::Release> = serde_json::from_str(&arr).unwrap();
+        let batch = session.release_batch(&[4, 5]).unwrap();
+        let arr = serde_json::to_string_pretty(&batch).unwrap();
+        let back = serde_json::parse_value(&arr).unwrap();
+        let back = back.as_array().unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back[0].answers[0].values(), release.answers[0].values());
+        assert_eq!(answers(&back[0])[0].values(), tables[0].values());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use datacube_dp::cli::{
     build_workload, compile_plan, dataset_name, dataset_schema, load_dataset, marginals_to_json,
-    parse_args, plan_to_json, privacy_level, release_batch_to_json, release_to_json, ClientArgs,
-    ClientOp, Command, PlanArgs, ReleaseArgs, ServeArgs, USAGE,
+    parse_args, plan_to_json, privacy_level, ClientArgs, ClientOp, Command, PlanArgs, ReleaseArgs,
+    ServeArgs, DATASET_SEED, USAGE,
 };
 use datacube_dp::prelude::*;
 use datacube_dp::service::{
@@ -54,7 +54,7 @@ fn fail(message: &str) -> ExitCode {
 }
 
 fn run_inspect(dataset: datacube_dp::cli::DatasetArg) -> Result<(), String> {
-    let (schema, table) = load_dataset(dataset, 20130401).map_err(|e| e.to_string())?;
+    let (schema, table) = load_dataset(dataset, DATASET_SEED).map_err(|e| e.to_string())?;
     println!("attributes: {}", schema.num_attributes());
     for (i, a) in schema.attributes().iter().enumerate() {
         println!(
@@ -137,7 +137,7 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
         service = service.with_tenant_inflight_cap(cap);
     }
     for &dataset in &args.datasets {
-        let (_, table) = load_dataset(dataset, 20130401).map_err(|e| e.to_string())?;
+        let (_, table) = load_dataset(dataset, DATASET_SEED).map_err(|e| e.to_string())?;
         service.data().insert_table(dataset_name(dataset), table);
     }
     let transport = TcpTransport::bind(&args.addr).map_err(|e| e.to_string())?;
@@ -315,10 +315,18 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// The marginal tables of a release from a marginal session.
+fn tables(release: &SessionRelease) -> &[MarginalTable] {
+    release
+        .answers
+        .marginals()
+        .expect("marginal sessions produce marginal releases")
+}
+
 /// Phase 1 + 2: compile one plan, bind the dataset, draw `--batch`
 /// deterministic releases (seeds `seed..seed+batch`) from it.
 fn run_release(args: &ReleaseArgs) -> Result<(), String> {
-    let (schema, table) = load_dataset(args.dataset, 20130401).map_err(|e| e.to_string())?;
+    let (schema, table) = load_dataset(args.dataset, DATASET_SEED).map_err(|e| e.to_string())?;
     let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
     let privacy = privacy_level(args.epsilon, args.delta);
     let plan = compile_plan(
@@ -334,42 +342,39 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
     let seeds: Vec<u64> = (0..args.batch as u64)
         .map(|i| args.seed.wrapping_add(i))
         .collect();
-    let batch = session.release_batch(&seeds).map_err(|e| e.to_string())?;
-
-    let mut releases = Vec::with_capacity(batch.len());
-    for r in batch {
-        let mut release = r
-            .into_release()
-            .expect("marginal sessions produce marginal releases");
-        if args.nonnegative {
+    let mut releases = session.release_batch(&seeds).map_err(|e| e.to_string())?;
+    if args.nonnegative {
+        for release in &mut releases {
             let (_, projected) = dp_core::postprocess::project_nonnegative(
                 schema.domain_bits(),
-                &release.answers,
+                tables(release),
                 dp_core::postprocess::ProjectOptions::default(),
             )
             .map_err(|e| e.to_string())?;
-            release.answers = projected;
+            release.answers = Answers::Marginals(projected);
         }
-        releases.push(release);
     }
 
     eprintln!(
         "released {} × {} marginals with method {} (achieved ε = {:.6} per release, one plan)",
         releases.len(),
-        releases[0].answers.len(),
+        tables(&releases[0]).len(),
         releases[0].label,
         releases[0].achieved_epsilon
     );
-    // --json selects the full-release document either way; --batch > 1
-    // wraps the per-release documents (full or marginal-list) in one array.
+    // --json selects the full-release document (the service's encoding)
+    // either way; --batch > 1 wraps the per-release documents (full or
+    // marginal-list) in one array.
     let json = match (args.json, args.batch > 1) {
-        (true, true) => release_batch_to_json(&releases),
-        (true, false) => release_to_json(&releases[0]),
-        (false, false) => marginals_to_json(&releases[0].answers),
+        (true, true) => serde_json::to_string_pretty(&releases).expect("rendering is infallible"),
+        (true, false) => {
+            serde_json::to_string_pretty(&releases[0]).expect("rendering is infallible")
+        }
+        (false, false) => marginals_to_json(tables(&releases[0])),
         (false, true) => {
             let docs: Vec<String> = releases
                 .iter()
-                .map(|r| marginals_to_json(&r.answers))
+                .map(|r| marginals_to_json(tables(r)))
                 .collect();
             format!("[\n{}\n]", docs.join(",\n"))
         }
