@@ -1,8 +1,10 @@
 //! Release hot-path throughput gauge: cells-noised/sec for the fused
 //! perturbation pass versus a per-value reference, WHT effective bandwidth
 //! for the lane/blocked kernel versus a scalar reference, end-to-end
-//! releases/sec through `Session::release_batch`, and the cost of a
-//! hierarchical/wavelet range release relative to noising its rows.
+//! releases/sec through `Session::release_batch`, the cost of a
+//! hierarchical/wavelet range release relative to noising its rows, and
+//! the cost of keeping a streamed session current by a full re-observe
+//! (`Session::rebase`) per arrival versus one `Session::ingest`.
 //!
 //! Every optimized/reference pair is also checked for **byte identity** on
 //! the measured inputs before timing, so this binary doubles as a
@@ -205,6 +207,17 @@ fn bench_noising(
     ratio
 }
 
+/// 128 fixed ranges over `n` cells, each at most `n / 4` long.
+fn range_workload(n: usize) -> RangeWorkload {
+    let ranges: Vec<(usize, usize)> = (0..128)
+        .map(|k| {
+            let lo = (k * 7919) % n;
+            (lo, (lo + 1 + (k * 104_729) % (n / 4)).min(n))
+        })
+        .collect();
+    RangeWorkload::new(n, ranges).expect("range workload")
+}
+
 /// Times one H+ or W+ range release at `n` cells against the fused noising
 /// of the same observation rows at the plan's budgets; returns
 /// `release / noising` and appends rows. Recovery is a closed-form O(n)
@@ -216,14 +229,7 @@ fn bench_range_release(
     reps: usize,
     rows: &mut Vec<HotPathRow>,
 ) -> f64 {
-    let ranges: Vec<(usize, usize)> = (0..128)
-        .map(|k| {
-            let lo = (k * 7919) % n;
-            (lo, (lo + 1 + (k * 104_729) % (n / 4)).min(n))
-        })
-        .collect();
-    let workload = RangeWorkload::new(n, ranges).expect("range workload");
-    let plan = PlanBuilder::ranges(workload, strategy)
+    let plan = PlanBuilder::ranges(range_workload(n), strategy)
         .compile()
         .expect("range plan compiles");
     let hist: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
@@ -274,6 +280,54 @@ fn bench_range_release(
         rows.push(row("range", &format!("{label}_{metric}"), value, unit));
     }
     ratio
+}
+
+/// Times one record arrival kept current two ways on an empty session of
+/// `plan` over `n` cells: `ingest` then a full `rebase` (the work of a
+/// fresh bind), and `ingest` alone (the O(|strategy support|) column
+/// update). Returns the per-update speedup `rebind / ingest` and appends
+/// rows. That both ways reach the same observations is pinned by
+/// `tests/streaming.rs`; this only times them.
+fn bench_ingest(
+    plan: &Plan,
+    n: usize,
+    rebinds: usize,
+    ingests: usize,
+    reps: usize,
+    rows: &mut Vec<HotPathRow>,
+) -> f64 {
+    let label = plan.label();
+    let mut session = Session::empty(plan).expect("empty session");
+    let mut cell = 0u64;
+    let mut next = || {
+        cell = (cell + 7919) % n as u64;
+        cell
+    };
+    let t_rebind = time_best(reps, || {
+        for _ in 0..rebinds {
+            session.ingest(next()).expect("ingest");
+            session.rebase().expect("full re-observe");
+        }
+    }) / rebinds as f64;
+    let t_ingest = time_best(reps, || {
+        for _ in 0..ingests {
+            session.ingest(next()).expect("ingest");
+        }
+    }) / ingests as f64;
+    let speedup = t_rebind / t_ingest;
+    println!(
+        "{label:>22}: ingest+rebase {:.2} us, ingest {:.3} us, update speedup {speedup:.1}×",
+        t_rebind * 1e6,
+        t_ingest * 1e6,
+    );
+    for (metric, value, unit) in [
+        ("rebind_update_us", t_rebind * 1e6, "us"),
+        ("ingest_update_us", t_ingest * 1e6, "us"),
+        ("update_speedup", speedup, "x"),
+    ] {
+        rows.push(row("ingest", &format!("{label}_{metric}"), value, unit));
+    }
+    speedup
 }
 
 fn main() {
@@ -378,6 +432,27 @@ fn main() {
             .map(|s| (s, bench_range_release(s, range_n, reps, &mut rows)))
             .collect();
 
+    // ── 5. Streamed update: ingest vs full rebind ─────────────────────
+    let stream_bits = 16usize;
+    let (rebinds, ingests) = if smoke { (8, 1024) } else { (64, 1 << 16) };
+    println!("== streamed update (n = 2^{stream_bits}, best of {reps}) ==");
+    let q1 = Workload::all_k_way(&Schema::binary(stream_bits).expect("binary schema"), 1)
+        .expect("Q1 builds");
+    let marginal_plan = PlanBuilder::marginals(q1, StrategyKind::Fourier)
+        .compile()
+        .expect("marginal plan compiles");
+    let stream_n = 1usize << stream_bits;
+    let range_plan = PlanBuilder::ranges(range_workload(stream_n), RangeStrategy::Hierarchical)
+        .compile()
+        .expect("range plan compiles");
+    let ingest_speedups: Vec<(String, f64)> = [marginal_plan, range_plan]
+        .iter()
+        .map(|plan| {
+            let speedup = bench_ingest(plan, stream_n, rebinds, ingests, reps, &mut rows);
+            (plan.label(), speedup)
+        })
+        .collect();
+
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results file: {e}"),
@@ -408,9 +483,23 @@ fn main() {
         // cost at most 4× the fused noising of its own rows (~2× with the
         // closed-form recovery, ~50× with conjugate gradients). A ratio
         // rather than a time, so shared-runner jitter hits both sides.
+        //
+        // The streamed-update gate is a speedup floor: at 2^16 cells one
+        // ingest must keep a session current at least 10× cheaper than a
+        // full re-observe. Recorded full-run speedups are ~850× for H+ and
+        // ~60 000× for F+ Q1, so only a lost O(Δ) update path trips it.
         let wht_floor = 1.05;
         let range_ceiling = 4.0;
+        let ingest_floor = 10.0;
         let mut failed = false;
+        for (label, speedup) in &ingest_speedups {
+            if *speedup < ingest_floor {
+                eprintln!(
+                    "CHECK FAILED: {label} ingest is only {speedup:.1}× cheaper than a rebind < {ingest_floor}×"
+                );
+                failed = true;
+            }
+        }
         for (strategy, ratio) in &range_ratios {
             if *ratio > range_ceiling {
                 eprintln!(

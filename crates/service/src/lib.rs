@@ -126,7 +126,7 @@ macro_rules! fail_point {
     ($site:expr) => {};
 }
 
-pub use accountant::{Accountant, BudgetStatus, ReleaseAdmission, WalStats, WalSync};
+pub use accountant::{Accountant, BudgetStatus, ReleaseAdmission, WalStats};
 pub use auth::{Auth, AuthPolicy};
 pub use client::{Client, ClientConfig, ClientStats, KeyedRelease, RemoteBudgetStatus};
 pub use error::ServiceError;

@@ -168,7 +168,7 @@ fn a_sync_failure_keeps_the_debit_and_refuses_the_release() {
     acct.open_tenant("t", PrivacyLevel::Pure { epsilon: 8.0 })
         .unwrap();
 
-    failpoint::configure("wal.sync", Trigger::nth(0), FailAction::Error);
+    failpoint::configure("wal.batch_sync", Trigger::nth(0), FailAction::Error);
     assert!(acct.try_debit("t", HALF).is_err());
     assert_eq!(acct.status("t").unwrap().spent_epsilon, 0.5);
 

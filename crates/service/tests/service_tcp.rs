@@ -1,16 +1,20 @@
 //! End-to-end tests over real TCP: served releases are byte-identical to
 //! the in-process session path, exhaustion arrives typed over the wire,
-//! and concurrent tenants hammering the threaded front-end can never
-//! over-spend their budgets.
+//! concurrent tenants hammering the threaded front-end can never
+//! over-spend their budgets, and sheds past a tenant's in-flight cap are
+//! absorbed by client retries at one charge per logical release.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use dp_core::api::{Session, WorkloadSpec};
 use dp_core::{ContingencyTable, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
 use dp_service::protocol::render_line;
-use dp_service::{Accountant, Auth, Client, DpService, Server, ServiceError, TcpTransport};
+use dp_service::{
+    Accountant, Auth, Client, ClientConfig, DpService, Server, ServiceError, TcpTransport,
+};
 use serde::Serialize;
 
 fn toy_table() -> ContingencyTable {
@@ -351,5 +355,70 @@ fn concurrent_tenants_never_overspend_through_the_threaded_front_end() {
     }
 
     setup.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn overload_sheds_are_retried_into_exactly_one_charge_per_release() {
+    const CONNECTIONS: usize = 4;
+    const RELEASES_PER_CONNECTION: usize = 8;
+
+    // Several connections on ONE tenant whose in-flight cap is 1: every
+    // overlapping request is shed with the typed retryable `overloaded`,
+    // and the client's retry loop resends under the same request id.
+    let service = DpService::new(Accountant::in_memory()).with_tenant_inflight_cap(1);
+    service.data().insert_table("toy", toy_table());
+    let server = Server::new(service, TcpTransport::bind("127.0.0.1:0").unwrap());
+    let addr = server.addr();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let mut setup = Client::connect(&addr).unwrap();
+    setup
+        .open_tenant("t", PrivacyLevel::Pure { epsilon: 64.0 })
+        .unwrap();
+    let plan_id = setup
+        .register_compile(
+            "t",
+            toy_spec(),
+            dp_core::Budgeting::Optimal,
+            PrivacyLevel::Pure { epsilon: 0.01 },
+            Neighboring::AddRemove,
+        )
+        .unwrap();
+    let session = setup.bind("t", &plan_id, "toy").unwrap();
+
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let (addr, session) = (&addr, &session);
+            scope.spawn(move || {
+                let mut client = Client::connect_with(
+                    addr,
+                    ClientConfig {
+                        max_retries: 32,
+                        backoff_base: Duration::from_millis(1),
+                        backoff_cap: Duration::from_millis(50),
+                        ..ClientConfig::default()
+                    },
+                )
+                .unwrap();
+                for i in 0..RELEASES_PER_CONNECTION {
+                    let seed = (c * RELEASES_PER_CONNECTION + i) as u64;
+                    let released = client
+                        .release("t", session, &[seed])
+                        .expect("retries absorb every shed");
+                    assert_eq!(released.len(), 1);
+                }
+            });
+        }
+    });
+
+    // Shed counts depend on scheduling; the charge count does not.
+    assert_eq!(
+        setup.budget_status("t").unwrap().charges,
+        CONNECTIONS * RELEASES_PER_CONNECTION,
+        "exactly one charge per logical release, sheds and retries notwithstanding"
+    );
+    setup.shutdown().unwrap();
+    drop(setup);
     handle.join().unwrap();
 }

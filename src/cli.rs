@@ -119,10 +119,6 @@ pub struct ServeArgs {
     /// Optional path of the persistent budget ledger (write-ahead JSON
     /// lines); without it budgets reset with the process.
     pub ledger: Option<String>,
-    /// Sync one ledger record per `sync_data` instead of group-committing
-    /// concurrent records under one sync (`--wal-sync per-record`; the
-    /// default is group commit). Only meaningful with `--ledger`.
-    pub wal_sync_per_record: bool,
     /// Admin bearer token; switches the service to the operator auth
     /// policy (tenant ops need per-tenant tokens, `open`/`shutdown` need
     /// this token). Without it the server trusts every peer.
@@ -293,7 +289,7 @@ USAGE:
                       [--cluster <fast|serial|faithful>] [--output <path.json>]
   datacube-dp inspect --dataset <adult|nltcs>
   datacube-dp serve   --addr <host:port> [--dataset <adult|nltcs>]...
-                      [--ledger <path.jsonl>] [--wal-sync <group|per-record>]
+                      [--ledger <path.jsonl>]
                       [--admin-token <secret>]
                       [--global-epsilon <f64> [--global-delta <f64>]]
                       [--max-connections <n>] [--max-inflight <n>]
@@ -320,9 +316,7 @@ emits one JSON array (marginal lists, or full documents with --json).
 `plan` stops after compilation and emits the serialized plan document.
 `serve` runs the budget-metered multi-tenant release service (JSON lines
 over TCP; with --ledger, spent budget survives restarts — records are
-group-committed by default, one fsync per batch of concurrent requests;
---wal-sync per-record restores the serialized one-fsync-per-record
-baseline). --admin-token
+group-committed, one fsync per batch of concurrent requests). --admin-token
 switches it to the operator auth policy: `open`/`shutdown` need --auth set
 to the admin token, `open` installs the tenant's --token, and tenant ops
 need --auth set to that tenant token; without --admin-token every peer is
@@ -415,7 +409,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut addr = None;
             let mut datasets = Vec::new();
             let mut ledger = None;
-            let mut wal_sync_per_record = false;
             let mut admin_token = None;
             let mut global_epsilon = None;
             let mut global_delta = None;
@@ -435,17 +428,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         }
                     }
                     "--ledger" => ledger = Some(value("--ledger")?.clone()),
-                    "--wal-sync" => {
-                        wal_sync_per_record = match value("--wal-sync")?.as_str() {
-                            "group" => false,
-                            "per-record" => true,
-                            other => {
-                                return Err(CliError(format!(
-                                    "bad --wal-sync {other:?}: expected `group` or `per-record`"
-                                )))
-                            }
-                        }
-                    }
                     "--admin-token" => admin_token = Some(value("--admin-token")?.clone()),
                     "--global-epsilon" => {
                         global_epsilon = Some(
@@ -496,7 +478,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 addr: addr.ok_or(CliError("serve requires --addr".into()))?,
                 datasets,
                 ledger,
-                wal_sync_per_record,
                 admin_token,
                 global_epsilon,
                 global_delta,
@@ -1060,7 +1041,6 @@ mod tests {
         assert_eq!(a.ledger, None);
         assert_eq!(a.admin_token, None);
         assert_eq!(a.global_epsilon, None);
-        assert!(!a.wal_sync_per_record, "group commit is the default");
 
         let cmd = parse_args(&sv(&[
             "serve",
@@ -1108,26 +1088,21 @@ mod tests {
         assert!(parse_args(&sv(&["serve", "--addr", "x", "--max-connections", "0"])).is_err());
         assert!(parse_args(&sv(&["serve", "--addr", "x", "--max-inflight", "no"])).is_err());
 
-        let Command::Serve(a) = parse_args(&sv(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--ledger",
-            "l.jsonl",
-            "--wal-sync",
-            "per-record",
-        ]))
-        .unwrap() else {
-            panic!("expected serve");
-        };
-        assert!(a.wal_sync_per_record);
-        let Command::Serve(a) =
-            parse_args(&sv(&["serve", "--addr", "x", "--wal-sync", "group"])).unwrap()
-        else {
-            panic!("expected serve");
-        };
-        assert!(!a.wal_sync_per_record);
-        assert!(parse_args(&sv(&["serve", "--addr", "x", "--wal-sync", "fsync"])).is_err());
+        // The ledger always group-commits, so `--wal-sync` is an unknown
+        // flag whatever its value.
+        for mode in ["per-record", "group"] {
+            let err = parse_args(&sv(&[
+                "serve",
+                "--addr",
+                "x",
+                "--ledger",
+                "l.jsonl",
+                "--wal-sync",
+                mode,
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("--wal-sync"), "{err:?}");
+        }
 
         assert!(parse_args(&sv(&["serve"])).is_err());
         assert!(parse_args(&sv(&["serve", "--addr", "x", "--json"])).is_err());

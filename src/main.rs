@@ -113,13 +113,7 @@ fn run_plan(args: &PlanArgs) -> Result<(), String> {
 fn run_serve(args: &ServeArgs) -> Result<(), String> {
     let mut accountant = match &args.ledger {
         Some(path) => {
-            let sync = if args.wal_sync_per_record {
-                datacube_dp::service::WalSync::PerRecord
-            } else {
-                datacube_dp::service::WalSync::Group
-            };
-            Accountant::with_wal_sync(std::path::Path::new(path), sync)
-                .map_err(|e| e.to_string())?
+            Accountant::with_wal(std::path::Path::new(path)).map_err(|e| e.to_string())?
         }
         None => Accountant::in_memory(),
     };
@@ -156,9 +150,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
         server.addr(),
         server.service().data().names(),
         match &args.ledger {
-            Some(p) if args.wal_sync_per_record => {
-                format!(", persistent ledger at {p} (per-record sync)")
-            }
             Some(p) => format!(", persistent ledger at {p} (group commit)"),
             None => ", in-memory budgets".into(),
         },
